@@ -8,8 +8,10 @@ package casq_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"casq"
@@ -25,6 +27,7 @@ import (
 	"casq/internal/layout"
 	"casq/internal/models"
 	"casq/internal/pass"
+	"casq/internal/pauli"
 	"casq/internal/sched"
 	"casq/internal/sim"
 	"casq/internal/stab"
@@ -394,6 +397,81 @@ func BenchmarkStabilizer127Q(b *testing.B) {
 	}
 }
 
+// BenchmarkStabilizer127QReference isolates the reference tableau run of
+// one full-127-qubit layer-fidelity instance: the stab127Workload circuit
+// compiled through CA-DD (one twirl draw), its ideal Clifford skeleton
+// replayed on a fresh 127-qubit tableau — 1q Cliffords, Pauli twirl and DD
+// pulses, ECRs — and one expectation value read off the final state. The
+// engine reruns this for every twirl instance it compiles.
+func BenchmarkStabilizer127QReference(b *testing.B) {
+	dev, c := stab127Workload(b)
+	compiled, _, err := pass.CADD().Apply(dev, rand.New(rand.NewSource(3)), c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type refOp struct {
+		q0, q1 int
+		c1     *pauli.Clifford1Q
+		c2     *pauli.CliffordTable
+		p      pauli.Pauli
+	}
+	tabs1 := map[string]*pauli.Clifford1Q{}
+	tabs2 := map[gates.Kind]*pauli.CliffordTable{}
+	var ops []refOp
+	for _, l := range compiled.Layers {
+		for _, in := range l.Instrs {
+			switch {
+			case in.Gate == gates.Delay || in.Gate == gates.Barrier || in.Gate == gates.ID:
+			case in.Gate == gates.XGate || in.Gate == gates.XDD:
+				ops = append(ops, refOp{q0: in.Qubits[0], p: pauli.X})
+			case in.Gate == gates.YGate:
+				ops = append(ops, refOp{q0: in.Qubits[0], p: pauli.Y})
+			case in.Gate == gates.ZGate:
+				ops = append(ops, refOp{q0: in.Qubits[0], p: pauli.Z})
+			case gates.NumQubits(in.Gate) == 2:
+				t, ok := tabs2[in.Gate]
+				if !ok {
+					if t, err = pauli.NewCliffordTable(gates.Matrix2Q(in.Gate, in.Params...)); err != nil {
+						b.Fatal(err)
+					}
+					tabs2[in.Gate] = t
+				}
+				ops = append(ops, refOp{q0: in.Qubits[0], q1: in.Qubits[1], c2: t})
+			default:
+				key := fmt.Sprint(in.Gate, in.Params)
+				t, ok := tabs1[key]
+				if !ok {
+					if t, err = pauli.NewClifford1Q(gates.Matrix1Q(in.Gate, in.Params...)); err != nil {
+						b.Fatal(err)
+					}
+					tabs1[key] = t
+				}
+				ops = append(ops, refOp{q0: in.Qubits[0], c1: t})
+			}
+		}
+	}
+	z0, _ := pauli.ParseString("Z" + strings.Repeat("I", dev.NQubits-1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tab := stab.NewTableau(dev.NQubits)
+		for _, o := range ops {
+			switch {
+			case o.c1 != nil:
+				tab.ApplyClifford1(o.q0, o.c1)
+			case o.c2 != nil:
+				tab.ApplyClifford2(o.q0, o.q1, o.c2)
+			default:
+				tab.ApplyPauli(o.q0, o.p)
+			}
+		}
+		if _, err := tab.Expect(z0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(ops)), "ops")
+}
+
 // BenchmarkStabBatch127Q measures the bit-plane batched shot path on the
 // full 127-qubit workload at growing shot budgets (10^3, 10^4, 10^5),
 // reporting throughput as a shots/s metric — the series CI archives into
@@ -526,6 +604,49 @@ func BenchmarkChoose127Q(b *testing.B) {
 	}
 	b.Run("pruned", bench(layout.DefaultOptions(), true))
 	b.Run("exhaustive", bench(exhaustive, false))
+}
+
+// BenchmarkCompileLayerBuild127Q measures building the IR of one
+// twirled, dynamically decoupled 127-qubit layer through Layer.Add — the
+// disjointness check every pass pays per inserted instruction: a pre- and
+// a post-twirl layer with one Pauli per qubit around the Eagle ECR tiling,
+// whose idle qubits carry two dd-tagged X pulses each.
+func BenchmarkCompileLayerBuild127Q(b *testing.B) {
+	dev, err := device.NewBackend("eagle127")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tiled := layerfid.TiledLayer(dev)
+	rng := rand.New(rand.NewSource(3))
+	paulis := []gates.Kind{gates.XGate, gates.YGate, gates.ZGate}
+	var pre, post, gate []circuit.Instruction
+	for q := 0; q < dev.NQubits; q++ {
+		pre = append(pre, circuit.Instruction{Gate: paulis[rng.Intn(3)], Qubits: []int{q}, Tag: "twirl"})
+		post = append(post, circuit.Instruction{Gate: paulis[rng.Intn(3)], Qubits: []int{q}, Tag: "twirl"})
+	}
+	gate = append(gate, tiled.Instrs...)
+	for _, q := range tiled.IdleQubits(dev.NQubits) {
+		for _, at := range []float64{100, 300} {
+			gate = append(gate, circuit.Instruction{Gate: gates.XDD, Qubits: []int{q}, Tag: "dd", Time: at})
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c := circuit.New(dev.NQubits, 0)
+		for _, l := range []struct {
+			kind circuit.LayerKind
+			ins  []circuit.Instruction
+		}{{circuit.TwirlLayer, pre}, {circuit.TwoQubitLayer, gate}, {circuit.TwirlLayer, post}} {
+			layer := c.AddLayer(l.kind)
+			for _, in := range l.ins {
+				layer.Add(in)
+			}
+		}
+		if len(c.Layers[1].Instrs) != len(gate) {
+			b.Fatal("layer lost instructions")
+		}
+	}
+	b.ReportMetric(float64(len(pre)+len(gate)+len(post)), "instrs")
 }
 
 // BenchmarkLayoutPipeline127Q compiles the full placed pipeline

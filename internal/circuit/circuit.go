@@ -93,14 +93,18 @@ func (l Layer) Clone() Layer {
 }
 
 // Add appends an instruction after validating qubit disjointness and kind
-// compatibility.
+// compatibility. Disjointness is checked by scanning Instrs rather than
+// against cached occupancy: Instrs is exported and rewritten in place (e.g.
+// by layout remapping), so a cache could go stale, and the scan allocates
+// nothing.
 func (l *Layer) Add(in Instruction) *Layer {
-	used := l.ActiveQubits()
-	for _, q := range in.Qubits {
-		// DD pulses carry explicit intra-layer times and may repeat on one
-		// qubit within a layer window.
-		if used[q] && in.Gate != gates.Barrier && in.Tag != "dd" {
-			panic(fmt.Sprintf("circuit: qubit %d used twice in one layer", q))
+	// DD pulses carry explicit intra-layer times and may repeat on one
+	// qubit within a layer window.
+	if in.Gate != gates.Barrier && in.Tag != "dd" {
+		for _, q := range in.Qubits {
+			if l.occupied(q) {
+				panic(fmt.Sprintf("circuit: qubit %d used twice in one layer", q))
+			}
 		}
 	}
 	arity := gates.NumQubits(in.Gate)
@@ -123,6 +127,22 @@ func (l *Layer) Add(in Instruction) *Layer {
 	}
 	l.Instrs = append(l.Instrs, in)
 	return l
+}
+
+// occupied reports whether a non-delay instruction of the layer acts on q.
+func (l *Layer) occupied(q int) bool {
+	for i := range l.Instrs {
+		in := &l.Instrs[i]
+		if in.Gate == gates.Delay {
+			continue
+		}
+		for _, iq := range in.Qubits {
+			if iq == q {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // ActiveQubits returns the set of qubits touched by non-delay instructions.
@@ -166,12 +186,29 @@ func (l *Layer) GateOn(q int) (Instruction, bool) {
 	return Instruction{}, false
 }
 
-// TwoQubitGates returns the 2-qubit gate instructions of the layer.
+// NumTwoQubitGates returns the number of 2-qubit gate instructions of the
+// layer.
+func (l *Layer) NumTwoQubitGates() int {
+	n := 0
+	for i := range l.Instrs {
+		if gates.NumQubits(l.Instrs[i].Gate) == 2 {
+			n++
+		}
+	}
+	return n
+}
+
+// TwoQubitGates returns the 2-qubit gate instructions of the layer (nil
+// when there are none).
 func (l *Layer) TwoQubitGates() []Instruction {
-	var out []Instruction
-	for _, in := range l.Instrs {
-		if gates.NumQubits(in.Gate) == 2 {
-			out = append(out, in)
+	n := l.NumTwoQubitGates()
+	if n == 0 {
+		return nil
+	}
+	out := make([]Instruction, 0, n)
+	for i := range l.Instrs {
+		if gates.NumQubits(l.Instrs[i].Gate) == 2 {
+			out = append(out, l.Instrs[i])
 		}
 	}
 	return out

@@ -155,3 +155,92 @@ func TestTwoQubitGates(t *testing.T) {
 		t.Error("TwoQubitGates count wrong")
 	}
 }
+
+// TestAddOccupancyRules pins which instructions Add lets share a qubit:
+// a Delay does not occupy its qubit, Barriers and dd-tagged pulses are
+// exempt from the check, and everything else must be disjoint — including
+// the second operand of a two-qubit gate. The first instruction is
+// appended to Instrs directly, as passes may do.
+func TestAddOccupancyRules(t *testing.T) {
+	delay := func(q int) Instruction {
+		return Instruction{Gate: gates.Delay, Qubits: []int{q}, Params: []float64{100}}
+	}
+	cases := []struct {
+		name  string
+		kind  LayerKind
+		first Instruction
+		next  Instruction
+		panic string // expected panic message, "" for none
+	}{
+		{"reused 2q target", TwoQubitLayer,
+			Instruction{Gate: gates.ECR, Qubits: []int{0, 1}},
+			Instruction{Gate: gates.ECR, Qubits: []int{2, 1}},
+			"circuit: qubit 1 used twice in one layer"},
+		{"reused 2q control", TwoQubitLayer,
+			Instruction{Gate: gates.ECR, Qubits: []int{0, 1}},
+			Instruction{Gate: gates.CX, Qubits: []int{0, 2}},
+			"circuit: qubit 0 used twice in one layer"},
+		{"gate on a delayed qubit", OneQubitLayer,
+			delay(0), Instruction{Gate: gates.H, Qubits: []int{0}}, ""},
+		{"2q gate on a delayed qubit", TwoQubitLayer,
+			delay(1), Instruction{Gate: gates.ECR, Qubits: []int{0, 1}}, ""},
+		{"delay on a delayed qubit", OneQubitLayer, delay(0), delay(0), ""},
+		// The disjointness check lets a Barrier through; only the layer-kind
+		// check rejects it.
+		{"barrier on a busy qubit", TwoQubitLayer,
+			Instruction{Gate: gates.ECR, Qubits: []int{0, 1}},
+			Instruction{Gate: gates.Barrier, Qubits: []int{0, 1}},
+			"circuit: barrier not allowed in 2q layer"},
+		{"dd pulse on a busy qubit", TwoQubitLayer,
+			Instruction{Gate: gates.ECR, Qubits: []int{0, 1}},
+			Instruction{Gate: gates.XDD, Qubits: []int{1}, Tag: "dd", Time: 50}, ""},
+		{"gate on a barrier's qubit", OneQubitLayer,
+			Instruction{Gate: gates.Barrier, Qubits: []int{0}},
+			Instruction{Gate: gates.XGate, Qubits: []int{0}},
+			"circuit: qubit 0 used twice in one layer"},
+		// A new Delay is checked like a gate: it may not land on a qubit
+		// a gate already occupies.
+		{"delay on a gate's qubit", OneQubitLayer,
+			Instruction{Gate: gates.H, Qubits: []int{0}}, delay(0),
+			"circuit: qubit 0 used twice in one layer"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			l := &Layer{Kind: c.kind, Instrs: []Instruction{c.first}}
+			defer func() {
+				r := recover()
+				if c.panic == "" && r != nil {
+					t.Fatalf("unexpected panic: %v", r)
+				}
+				if c.panic != "" && r != c.panic {
+					t.Fatalf("panic = %v, want %q", r, c.panic)
+				}
+			}()
+			l.Add(c.next)
+			if len(l.Instrs) != 2 {
+				t.Fatalf("layer holds %d instructions, want 2", len(l.Instrs))
+			}
+		})
+	}
+}
+
+// TestAddZeroAlloc pins the disjointness check as allocation-free: filling
+// a layer whose Instrs already has the capacity allocates nothing.
+func TestAddZeroAlloc(t *testing.T) {
+	const n = 127
+	ins := make([]Instruction, 0, n)
+	for q := 0; q+1 < n; q += 2 {
+		ins = append(ins, Instruction{Gate: gates.ECR, Qubits: []int{q, q + 1}})
+	}
+	ins = append(ins, Instruction{Gate: gates.Delay, Qubits: []int{n - 1}, Params: []float64{100}})
+	l := &Layer{Kind: TwoQubitLayer, Instrs: make([]Instruction, 0, len(ins))}
+	allocs := testing.AllocsPerRun(20, func() {
+		l.Instrs = l.Instrs[:0]
+		for _, in := range ins {
+			l.Add(in)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Add allocated %.1f times per layer, want 0", allocs)
+	}
+}

@@ -199,7 +199,11 @@ func concurrentGates(c *circuit.Circuit, w sched.Window) []circuit.Instruction {
 		if l.Start >= w.End || l.Start+l.Duration <= w.Start {
 			continue
 		}
-		out = append(out, l.TwoQubitGates()...)
+		for i := range l.Instrs {
+			if gates.NumQubits(l.Instrs[i].Gate) == 2 {
+				out = append(out, l.Instrs[i])
+			}
+		}
 	}
 	return out
 }
@@ -212,7 +216,7 @@ func splitAtGateLayers(c *circuit.Circuit, windows []sched.Window, minDur float6
 	var cuts []float64
 	for li := range c.Layers {
 		l := &c.Layers[li]
-		if len(l.TwoQubitGates()) > 0 && l.Duration > 0 {
+		if l.NumTwoQubitGates() > 0 && l.Duration > 0 {
 			cuts = append(cuts, l.Start, l.Start+l.Duration)
 		}
 	}

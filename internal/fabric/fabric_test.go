@@ -302,10 +302,6 @@ func TestDistributedBitIdentical(t *testing.T) {
 	defer c.Close()
 	ts := httptest.NewServer(c.Handler())
 	defer ts.Close()
-	sw, err := c.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var wg sync.WaitGroup
@@ -315,6 +311,18 @@ func TestDistributedBitIdentical(t *testing.T) {
 		w.Poll = 5 * time.Millisecond
 		wg.Add(1)
 		go func() { defer wg.Done(); w.Run(ctx) }()
+	}
+	// Both workers must have polled before any work exists, or a fast
+	// sweep can finish before the second worker's first claim.
+	for deadline := time.Now().Add(30 * time.Second); c.Stats().Workers < 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("workers did not register: %+v", c.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	sw, err := c.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
 	select {
 	case <-sw.Done():

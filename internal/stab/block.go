@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"casq/internal/obs"
-	"casq/internal/pauli"
 	"casq/internal/sim"
 )
 
@@ -126,36 +125,6 @@ func (b *bern) draw(r *wordRNG) uint64 {
 	return w
 }
 
-// symp2 is a two-qubit Clifford's conjugation action on the symplectic
-// bits, as masks: out[j] = XOR over i of (in[i] & m[i][j]), with i, j
-// running over (x0, z0, x1, z1). Built once per distinct CliffordTable.
-type symp2 struct {
-	m [4][4]uint64
-}
-
-// onesIf expands a symplectic bit into a word mask.
-func onesIf(b uint64) uint64 { return -(b & 1) }
-
-func newSymp2(tbl *pauli.CliffordTable) *symp2 {
-	s := &symp2{}
-	ins := [4]pauli.Pair{
-		{P0: pauli.X, P1: pauli.I},
-		{P0: pauli.Z, P1: pauli.I},
-		{P0: pauli.I, P1: pauli.X},
-		{P0: pauli.I, P1: pauli.Z},
-	}
-	for i, p := range ins {
-		c := tbl.Conjugate(p)
-		x0, z0 := xzFromPauli(c.Out.P0)
-		x1, z1 := xzFromPauli(c.Out.P1)
-		s.m[i][0] = onesIf(x0)
-		s.m[i][1] = onesIf(z0)
-		s.m[i][2] = onesIf(x1)
-		s.m[i][3] = onesIf(z1)
-	}
-	return s
-}
-
 // blockOp is one program op lowered to bit-plane form: Cliffords carry
 // their symplectic masks, channels their Bernoulli tables plus conditional
 // thresholds, measurements their reference word and branch-flip qubit
@@ -192,14 +161,13 @@ type blockProgram struct {
 	ops     []blockOp
 }
 
-// blockPlan lowers the program's op stream into bit-plane form:
-// per-Clifford symplectic mask derivation (memoized per table) and
-// per-channel alias/threshold table construction. Called once per compiled
-// program, before the shot loop.
+// blockPlan lowers the program's op stream into bit-plane form: Clifford
+// ops copy the symplectic masks the compiler derived per table (the same
+// masks the reference tableau ran on), channels get their Bernoulli and
+// threshold tables. Called once per compiled program, before the shot
+// loop.
 func (p *program) blockPlan() *blockProgram {
 	bp := &blockProgram{nq: p.nq, ncb: p.ncb, ops: make([]blockOp, len(p.ops))}
-	c1memo := map[*pauli.Clifford1Q][4]uint64{}
-	c2memo := map[*pauli.CliffordTable]*symp2{}
 	for i := range p.ops {
 		o := &p.ops[i]
 		b := &bp.ops[i]
@@ -207,23 +175,9 @@ func (p *program) blockPlan() *blockProgram {
 		b.q0, b.q1 = int32(o.q0), int32(o.q1)
 		switch o.kind {
 		case opCliff1:
-			m, ok := c1memo[o.c1]
-			if !ok {
-				cx := o.c1.Conjugate(pauli.X)
-				cz := o.c1.Conjugate(pauli.Z)
-				ax, az := xzFromPauli(cx.Out)
-				bx, bz := xzFromPauli(cz.Out)
-				m = [4]uint64{onesIf(ax), onesIf(bx), onesIf(az), onesIf(bz)}
-				c1memo[o.c1] = m
-			}
-			b.mxx, b.mzx, b.mxz, b.mzz = m[0], m[1], m[2], m[3]
+			b.mxx, b.mzx, b.mxz, b.mzz = o.c1.mxx, o.c1.mzx, o.c1.mxz, o.c1.mzz
 		case opCliff2:
-			sy, ok := c2memo[o.c2]
-			if !ok {
-				sy = newSymp2(o.c2)
-				c2memo[o.c2] = sy
-			}
-			b.sy = sy
+			b.sy = o.c2
 		case opPauliGate:
 			// Frame signs are unobservable; nothing to lower.
 		case opChan1:

@@ -224,7 +224,7 @@ func TestBlockCliffordMasksMatchScalar(t *testing.T) {
 		if c1 == nil {
 			t.Fatalf("%s: no Clifford table", g)
 		}
-		p, bp := chanProgram(1, 0, []op{{kind: opCliff1, q0: 0, c1: c1}}, nil)
+		p, bp := chanProgram(1, 0, []op{cliff1Op(0, c1)}, nil)
 		f := newBlockFrame(p)
 		for in := 0; in < 4; in++ {
 			xb, zb := uint64(in&1), uint64(in>>1)
@@ -243,7 +243,7 @@ func TestBlockCliffordMasksMatchScalar(t *testing.T) {
 		if c2 == nil {
 			t.Fatalf("%s: no Clifford table", g)
 		}
-		p, bp := chanProgram(2, 0, []op{{kind: opCliff2, q0: 0, q1: 1, c2: c2}}, nil)
+		p, bp := chanProgram(2, 0, []op{cliff2Op(0, 1, c2)}, nil)
 		f := newBlockFrame(p)
 		for in := 0; in < 16; in++ {
 			x0, z0 := uint64(in&1), uint64(in>>1&1)

@@ -42,8 +42,8 @@ const (
 type op struct {
 	kind   opKind
 	q0, q1 int
-	c1     *pauli.Clifford1Q
-	c2     *pauli.CliffordTable
+	c1     *cliff1 // opCliff1: conjugation table and its word masks
+	c2     *symp2  // opCliff2: conjugation table and its word masks
 	p      pauli.Pauli
 	// chan1 cumulative thresholds: u < thrX -> X, < thrXY -> Y, < thrXYZ -> Z.
 	thrX, thrXY, thrXYZ float64
@@ -509,6 +509,16 @@ func (cp *compiler) layer(l *circuit.Layer, nq int) error {
 	return nil
 }
 
+// cliff1Op and cliff2Op build Clifford ops carrying their table's word
+// masks, which the reference tableau and the bit-plane plan both run on.
+func cliff1Op(q int, tbl *pauli.Clifford1Q) op {
+	return op{kind: opCliff1, q0: q, c1: cliff1For(tbl)}
+}
+
+func cliff2Op(q0, q1 int, tbl *pauli.CliffordTable) op {
+	return op{kind: opCliff2, q0: q0, q1: q1, c2: symp2For(tbl)}
+}
+
 func (cp *compiler) exec(ev *cevent) {
 	cfg := &cp.e.Cfg
 	switch ev.kind {
@@ -529,7 +539,7 @@ func (cp *compiler) exec(ev *cevent) {
 		// target's Z is rotated by ZX into non-diagonal form, so it must
 		// convert to a channel before the gate.
 		cp.flush(ev.q1)
-		cp.ops = append(cp.ops, op{kind: opCliff2, q0: ev.q0, q1: ev.q1, c2: ev.c2})
+		cp.ops = append(cp.ops, cliff2Op(ev.q0, ev.q1, ev.c2))
 	case cevPauliPulse:
 		cp.flipAccum(ev.q0)
 		cp.ops = append(cp.ops, op{kind: opPauliGate, q0: ev.q0, p: ev.p})
@@ -549,7 +559,7 @@ func (cp *compiler) exec(ev *cevent) {
 		}
 		k, delta := splitQuarter(ev.angle)
 		if k != 0 {
-			cp.ops = append(cp.ops, op{kind: opCliff1, q0: ev.q0, c1: sPowTable(k)})
+			cp.ops = append(cp.ops, cliff1Op(ev.q0, sPowTable(k)))
 		}
 		cp.phi[ev.q0] += delta
 	case cevRZZ:
@@ -559,14 +569,14 @@ func (cp *compiler) exec(ev *cevent) {
 		}
 		k, delta := splitQuarter(ev.angle)
 		if k != 0 {
-			cp.ops = append(cp.ops, op{kind: opCliff2, q0: ev.q0, q1: ev.q1, c2: clifford2For(gates.RZZ, []float64{float64(k) * math.Pi / 2})})
+			cp.ops = append(cp.ops, cliff2Op(ev.q0, ev.q1, clifford2For(gates.RZZ, []float64{float64(k) * math.Pi / 2})))
 		}
 		cp.phiZZ[ev.edge] += delta
 	case cevEchoFlip:
 		cp.flipAccum(ev.q0)
 	case cevApply1Q:
 		cp.flush(ev.q0)
-		cp.ops = append(cp.ops, op{kind: opCliff1, q0: ev.q0, c1: ev.c1})
+		cp.ops = append(cp.ops, cliff1Op(ev.q0, ev.c1))
 		if cfg.EnableGateErr && ev.errP > 0 {
 			cp.emitDepol1(ev.q0, ev.errP)
 		}
@@ -744,9 +754,9 @@ func (p *program) reference(seed int64) {
 		o := &p.ops[i]
 		switch o.kind {
 		case opCliff1:
-			p.tab.ApplyClifford1(o.q0, o.c1)
+			p.tab.applyCliff1(o.q0, o.c1)
 		case opCliff2:
-			p.tab.ApplyClifford2(o.q0, o.q1, o.c2)
+			p.tab.applySymp2(o.q0, o.q1, o.c2)
 		case opPauliGate:
 			p.tab.ApplyPauli(o.q0, o.p)
 		case opMeasure:

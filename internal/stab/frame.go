@@ -1,6 +1,7 @@
 package stab
 
 import (
+	"math/bits"
 	"math/rand"
 
 	"casq/internal/pauli"
@@ -70,7 +71,7 @@ func (f *frame) run(p *program) {
 			if xb == 0 && zb == 0 {
 				continue
 			}
-			c := o.c1.Conjugate(pauliFromXZ(xb, zb))
+			c := o.c1.tbl.Conjugate(pauliFromXZ(xb, zb))
 			nx, nz := xzFromPauli(c.Out)
 			f.x[w] = f.x[w]&^(1<<b) | nx<<b
 			f.z[w] = f.z[w]&^(1<<b) | nz<<b
@@ -82,7 +83,7 @@ func (f *frame) run(p *program) {
 			if p0 == pauli.I && p1 == pauli.I {
 				continue
 			}
-			c := o.c2.Conjugate(pauli.Pair{P0: p0, P1: p1})
+			c := o.c2.tbl.Conjugate(pauli.Pair{P0: p0, P1: p1})
 			nx0, nz0 := xzFromPauli(c.Out.P0)
 			nx1, nz1 := xzFromPauli(c.Out.P1)
 			f.x[w0] = f.x[w0]&^(1<<b0) | nx0<<b0
@@ -149,7 +150,7 @@ func (f *frame) anticommutes(px, pz []uint64) bool {
 		par ^= f.x[w] & pz[w]
 		par ^= f.z[w] & px[w]
 	}
-	return parity64(par)
+	return bits.OnesCount64(par)&1 == 1
 }
 
 // numShots returns the effective shot count (at least 1).

@@ -82,14 +82,18 @@ func addPauli(l *circuit.Layer, p pauli.Pauli, q int) {
 func Instance(c *circuit.Circuit, scope Scope, rng *rand.Rand) (*circuit.Circuit, error) {
 	out := circuit.New(c.NQubits, c.NCBits)
 	for _, l := range c.Layers {
-		if l.Kind != circuit.TwoQubitLayer || len(l.TwoQubitGates()) == 0 {
+		if l.Kind != circuit.TwoQubitLayer || l.NumTwoQubitGates() == 0 {
 			out.Layers = append(out.Layers, l.Clone())
 			continue
 		}
 		pre := circuit.Layer{Kind: circuit.TwirlLayer}
 		post := circuit.Layer{Kind: circuit.TwirlLayer}
 		ok := true
-		for _, in := range l.TwoQubitGates() {
+		for i := range l.Instrs {
+			in := &l.Instrs[i]
+			if gates.NumQubits(in.Gate) != 2 {
+				continue
+			}
 			q0, q1 := in.Qubits[0], in.Qubits[1]
 			switch in.Gate {
 			case gates.ECR, gates.CX, gates.SWAP:
@@ -149,7 +153,11 @@ func Instances(c *circuit.Circuit, scope Scope, k int, rng *rand.Rand) ([]*circu
 // protocol to know which Pauli to measure after d layer applications.
 func PropagateThroughLayer(l *circuit.Layer, s pauli.String) (pauli.String, error) {
 	out := pauli.String{Ops: append([]pauli.Pauli(nil), s.Ops...), Phase: s.Phase}
-	for _, in := range l.TwoQubitGates() {
+	for i := range l.Instrs {
+		in := &l.Instrs[i]
+		if gates.NumQubits(in.Gate) != 2 {
+			continue
+		}
 		tab, err := TableFor(in.Gate)
 		if err != nil {
 			return pauli.String{}, err
