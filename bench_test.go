@@ -517,6 +517,43 @@ func BenchmarkStabBatch127Q(b *testing.B) {
 	b.Run("scalar/shots=1e4", run(10_000, true))
 }
 
+// BenchmarkStabBatch127QRamsey measures the bit-plane shot path on
+// figC1's workload: the bare Ramsey probe (H, two 600 ns idle windows, H,
+// measure all) on the full Eagle lattice, one twirl instance's 12 500-shot
+// share of the 5x10^4 budget, sampled into packed outcome planes on one
+// worker. The long idle windows put about a quarter of its channel
+// tables on the dense Bernoulli path (p >= 0.05), which dominates its
+// sampling time, so this series tracks the dense mask sampler.
+func BenchmarkStabBatch127QRamsey(b *testing.B) {
+	dev, err := device.NewBackend("eagle127")
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := experiments.SpectroscopyCircuit(dev.NQubits, 2, 600)
+	compiled, _, err := pass.Bare().Apply(dev, rand.New(rand.NewSource(3)), c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const shots = 12_500
+	cfg := sim.DefaultConfig()
+	cfg.Shots = shots
+	cfg.Workers = 1
+	cfg.EnableReadoutErr = false
+	eng := stab.New(dev, cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pb, err := eng.CountsPacked(compiled)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if pb.Shots != shots {
+			b.Fatalf("%d shots, want %d", pb.Shots, shots)
+		}
+	}
+	b.ReportMetric(float64(shots)*float64(b.N)/b.Elapsed().Seconds(), "shots/s")
+}
+
 // BenchmarkPauliChannelDerivation isolates the PTA compile stage: walking
 // the 127-qubit schedule, integrating every toggling-frame error angle,
 // and deriving the per-location Pauli channels plus the reference tableau
@@ -674,10 +711,11 @@ func BenchmarkLayoutPipeline127Q(b *testing.B) {
 // estimator at full scale: the two-point covariance/correlation matrix of
 // 127 outcome planes (8001 pairs) over 10^4 shots, word-parallel XOR
 // popcount reductions plus the delete-one-block jackknife, reported as a
-// pairs/s metric — the series CI archives into BENCH_correl.json. The
-// scalar sub-benchmark runs the retained per-shot reference estimator on
-// the same planes, so pairs/s(packed)/pairs/s(scalar) is the word-level
-// speedup on this machine.
+// pairs/s metric — the series CI archives into BENCH_correl.json. Both
+// sub-benchmarks split rows across GOMAXPROCS workers, so pairs/s is a
+// whole-machine rate. The scalar sub-benchmark runs the retained per-shot
+// reference estimator on the same planes, so pairs/s(packed)/
+// pairs/s(scalar) is the word-level speedup on this machine.
 func BenchmarkCorrelations127Q(b *testing.B) {
 	const (
 		n     = 127

@@ -29,7 +29,10 @@ package correl
 import (
 	"math"
 	"math/bits"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"casq/internal/sim"
 )
@@ -235,6 +238,26 @@ func wordShots(shots, w int) int {
 	return sim.ShotBlockSize
 }
 
+// margin is one row's marginal of one estimate: flip count o over the
+// estimate's shots, flip rate p = o/S and p(1-p). a is zero exactly when
+// the marginal is degenerate (o = 0 or o = S), which zeroes the
+// correlation.
+type margin struct {
+	o    int
+	p, a float64
+}
+
+// estimate computes the matrix: per-row per-word flip counts, then the
+// pair loop over rows handed out to min(GOMAXPROCS, n) workers. Every
+// estimate's marginals — the full sample and each delete-one-word sample
+// of the jackknife — are hoisted out of the pair loop, which then forms
+//
+//	cov  = n11/S - p_i p_j
+//	corr = cov / sqrt(p_i(1-p_i) p_j (1-p_j))
+//
+// with the float operations in this exact order. Each worker owns its
+// scratch and writes only its own rows' pairs, so the output is identical
+// at any worker count.
 func estimate(pb sim.PackedBits, scalar bool) Matrix {
 	n, S := len(pb.Planes), pb.Shots
 	m := Matrix{
@@ -252,111 +275,143 @@ func estimate(pb sim.PackedBits, scalar bool) Matrix {
 
 	// Per-bit, per-word flip counts. The packed path is one masked
 	// popcount per word; the scalar reference increments per shot.
-	rowOnes := make([][]int, n)
-	for i := range rowOnes {
-		rowOnes[i] = make([]int, words)
+	rowOnes := make([]int, n*words)
+	for i := 0; i < n; i++ {
+		row := rowOnes[i*words : (i+1)*words]
 		if scalar {
 			for s := 0; s < S; s++ {
 				if pb.Bit(i, s) == 1 {
-					rowOnes[i][s/sim.ShotBlockSize]++
+					row[s/sim.ShotBlockSize]++
 				}
 			}
 		} else {
-			for w := 0; w < words; w++ {
-				rowOnes[i][w] = bits.OnesCount64(pb.Planes[i][w] & wordMask(S, w))
+			for w := range row {
+				row[w] = bits.OnesCount64(pb.Planes[i][w] & wordMask(S, w))
 			}
 		}
-		for _, c := range rowOnes[i] {
+		for _, c := range row {
 			m.Ones[i] += c
 		}
 		m.P[i] = float64(m.Ones[i]) / float64(S)
 	}
 
-	// Per-pair reduction. xw holds this pair's per-word XOR popcounts so
-	// the jackknife can delete one block at a time; thetaCov/thetaCorr are
-	// the leave-one-out estimates, reused across pairs.
-	xw := make([]int, words)
-	thetaCov := make([]float64, words)
-	thetaCorr := make([]float64, words)
+	// Column w < words is the jackknife sample without word w; column
+	// words is the full sample.
+	cols := words + 1
+	fS := make([]float64, cols)
+	for w := 0; w < words; w++ {
+		fS[w] = float64(S - wordShots(S, w))
+	}
+	fS[words] = float64(S)
+	mg := make([]margin, n*cols)
 	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			nxor := 0
-			if scalar {
-				for w := range xw {
-					xw[w] = 0
-				}
-				for s := 0; s < S; s++ {
-					if pb.Bit(i, s) != pb.Bit(j, s) {
-						xw[s/sim.ShotBlockSize]++
+		for c := 0; c < cols; c++ {
+			o := m.Ones[i]
+			if c < words {
+				o -= rowOnes[i*words+c]
+			}
+			p := float64(o) / fS[c]
+			mg[i*cols+c] = margin{o: o, p: p, a: p * (1 - p)}
+		}
+	}
+
+	var next atomic.Int64
+	rows := func() {
+		// xw holds one pair's per-word XOR popcounts so the jackknife can
+		// delete one block at a time; thetaCov/thetaCorr are the
+		// leave-one-out estimates.
+		xw := make([]int, words)
+		thetaCov := make([]float64, words)
+		thetaCorr := make([]float64, words)
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			mi := mg[i*cols : (i+1)*cols]
+			for j := i + 1; j < n; j++ {
+				mj := mg[j*cols : (j+1)*cols]
+				nxor := 0
+				if scalar {
+					for w := range xw {
+						xw[w] = 0
+					}
+					for s := 0; s < S; s++ {
+						if pb.Bit(i, s) != pb.Bit(j, s) {
+							xw[s/sim.ShotBlockSize]++
+						}
+					}
+					for _, c := range xw {
+						nxor += c
+					}
+				} else {
+					pi, pj := pb.Planes[i], pb.Planes[j]
+					for w := range xw {
+						c := bits.OnesCount64((pi[w] ^ pj[w]) & wordMask(S, w))
+						xw[w] = c
+						nxor += c
 					}
 				}
-				for _, c := range xw {
-					nxor += c
+				k := PairIndex(n, i, j)
+				m.N11[k], m.Cov[k], m.Corr[k] = pairStat(&mi[words], &mj[words], fS[words], nxor)
+				if words > 1 {
+					for w := 0; w < words; w++ {
+						_, thetaCov[w], thetaCorr[w] = pairStat(&mi[w], &mj[w], fS[w], nxor-xw[w])
+					}
+					m.SECov[k], m.SECorr[k] = jackknifeSE(thetaCov, thetaCorr)
 				}
-			} else {
-				pi, pj := pb.Planes[i], pb.Planes[j]
-				for w := 0; w < words; w++ {
-					c := bits.OnesCount64((pi[w] ^ pj[w]) & wordMask(S, w))
-					xw[w] = c
-					nxor += c
-				}
-			}
-			// Everything below is shared between the packed and scalar
-			// paths: identical float ops on identical integer counts.
-			k := PairIndex(n, i, j)
-			n11 := (m.Ones[i] + m.Ones[j] - nxor) / 2
-			m.N11[k] = n11
-			m.Cov[k] = covOf(n11, m.Ones[i], m.Ones[j], S)
-			m.Corr[k] = corrOf(n11, m.Ones[i], m.Ones[j], S)
-			if words > 1 {
-				var meanCov, meanCorr float64
-				for w := 0; w < words; w++ {
-					Sw := S - wordShots(S, w)
-					oi := m.Ones[i] - rowOnes[i][w]
-					oj := m.Ones[j] - rowOnes[j][w]
-					n11w := (oi + oj - (nxor - xw[w])) / 2
-					thetaCov[w] = covOf(n11w, oi, oj, Sw)
-					thetaCorr[w] = corrOf(n11w, oi, oj, Sw)
-					meanCov += thetaCov[w]
-					meanCorr += thetaCorr[w]
-				}
-				W := float64(words)
-				meanCov /= W
-				meanCorr /= W
-				var vc, vr float64
-				for w := 0; w < words; w++ {
-					dc := thetaCov[w] - meanCov
-					dr := thetaCorr[w] - meanCorr
-					vc += dc * dc
-					vr += dr * dr
-				}
-				m.SECov[k] = math.Sqrt((W - 1) / W * vc)
-				m.SECorr[k] = math.Sqrt((W - 1) / W * vr)
 			}
 		}
 	}
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers == 1 {
+		rows()
+		return m
+	}
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rows()
+		}()
+	}
+	wg.Wait()
 	return m
 }
 
-// covOf is the plug-in covariance of two flip indicators from their
-// sufficient statistics.
-func covOf(n11, oi, oj, S int) float64 {
-	if S == 0 {
-		return 0
+// pairStat returns a pair's joint flip count, covariance and correlation
+// in one estimate from the two rows' marginals, the estimate's shot count
+// fS, and the count of its shots where exactly one of the two flipped.
+func pairStat(mi, mj *margin, fS float64, nxor int) (n11 int, cov, corr float64) {
+	n11 = (mi.o + mj.o - nxor) / 2
+	pj := mj.p
+	cov = float64(n11)/fS - mi.p*pj
+	if mi.a != 0 && mj.a != 0 {
+		corr = cov / math.Sqrt(mi.a*pj*(1-pj))
 	}
-	fS := float64(S)
-	return float64(n11)/fS - (float64(oi)/fS)*(float64(oj)/fS)
+	return n11, cov, corr
 }
 
-// corrOf is the Pearson correlation; zero when either marginal is
-// degenerate (flip rate exactly 0 or 1 leaves no variance to correlate).
-func corrOf(n11, oi, oj, S int) float64 {
-	if S == 0 || oi == 0 || oi == S || oj == 0 || oj == S {
-		return 0
+// jackknifeSE returns the delete-one-block standard errors of the
+// leave-one-out covariance and correlation estimates.
+func jackknifeSE(thetaCov, thetaCorr []float64) (seCov, seCorr float64) {
+	var meanCov, meanCorr float64
+	for w := range thetaCov {
+		meanCov += thetaCov[w]
+		meanCorr += thetaCorr[w]
 	}
-	fS := float64(S)
-	pi, pj := float64(oi)/fS, float64(oj)/fS
-	return covOf(n11, oi, oj, S) / math.Sqrt(pi*(1-pi)*pj*(1-pj))
+	W := float64(len(thetaCov))
+	meanCov /= W
+	meanCorr /= W
+	var vc, vr float64
+	for w := range thetaCov {
+		dc := thetaCov[w] - meanCov
+		dr := thetaCorr[w] - meanCorr
+		vc += dc * dc
+		vr += dr * dr
+	}
+	return math.Sqrt((W - 1) / W * vc), math.Sqrt((W - 1) / W * vr)
 }
 
 // PackedFromCounts expands a bitstring-counts map (sim.BitsKey layout:

@@ -157,13 +157,16 @@ type Result struct {
 	// ExpVals are the shot-weighted means of the observables (expectation
 	// jobs only).
 	ExpVals []float64
-	// Counts merges the measured bitstrings (counts jobs only).
+	// Counts merges the measured bitstrings of a counts job that did not
+	// stay packed (statevector or mixed-engine jobs); nil when Packed is
+	// set — Executor.Counts expands the planes for callers that want the
+	// map.
 	Counts map[string]int
 	// Packed holds the job's outcomes as bit-planes — instance shot slices
 	// concatenated in instance order — when every instance ran on a
 	// bit-plane engine (counts jobs only; nil otherwise). Downstream
-	// estimators can accumulate from these words (expval's *Packed
-	// functions) instead of walking the Counts map.
+	// estimators accumulate from these words (correl.Estimate, expval's
+	// *Packed functions) without a bitstring map ever being built.
 	Packed *sim.PackedBits
 	// Shots is the total number of shots executed — always the full
 	// budget.
@@ -394,22 +397,21 @@ func (e *Executor) Run(ctx context.Context, job Job) (Result, error) {
 		InstanceShots: make([]int, 0, ro.Instances),
 		Reports:       make([]pass.Report, 0, ro.Instances),
 	}
-	if len(job.Observables) > 0 {
-		res.ExpVals = make([]float64, len(job.Observables))
-	} else {
-		res.Counts = map[string]int{}
-	}
 	// Counts jobs where every instance ran on a bit-plane engine stay
-	// packed through aggregation: instance planes are concatenated in
-	// instance order and expanded to the bitstring map once, and the merged
-	// planes are returned for downstream packed accumulation. A mixed job
-	// (auto dispatch picking the statevector kernel for some instances)
-	// falls back to per-instance expansion.
+	// packed: instance planes are concatenated in instance order and
+	// returned as is, with no bitstring map. A mixed job (auto dispatch
+	// picking the statevector kernel for some instances) falls back to
+	// per-instance expansion into Counts.
 	allPacked := len(job.Observables) == 0
 	for k := 0; allPacked && k < ro.Instances; k++ {
 		if !outs[k].hasPacked || len(outs[k].packed.Planes) != len(outs[0].packed.Planes) {
 			allPacked = false
 		}
+	}
+	if len(job.Observables) > 0 {
+		res.ExpVals = make([]float64, len(job.Observables))
+	} else if !allPacked {
+		res.Counts = map[string]int{}
 	}
 	for k := 0; k < ro.Instances; k++ {
 		o := outs[k]
@@ -432,7 +434,6 @@ func (e *Executor) Run(ctx context.Context, job Job) (Result, error) {
 			merged = merged.Append(outs[k].packed)
 		}
 		res.Packed = &merged
-		merged.CountsInto(res.Counts)
 	}
 	if len(job.Observables) > 0 && res.Shots > 0 {
 		for i := range res.ExpVals {
@@ -457,11 +458,15 @@ func (e *Executor) Expectations(ctx context.Context, c *circuit.Circuit, obs []s
 }
 
 // Counts is the sampling entry point: it merges measured bitstring counts
-// across the twirl instances, preserving the full shot budget.
+// across the twirl instances, preserving the full shot budget. Packed
+// results are expanded to the bitstring map here.
 func (e *Executor) Counts(ctx context.Context, c *circuit.Circuit, ro RunOptions) (sim.Result, error) {
 	res, err := e.Run(ctx, Job{Circuit: c, Opts: ro})
 	if err != nil {
 		return sim.Result{}, err
+	}
+	if res.Packed != nil {
+		return res.Packed.Counts(), nil
 	}
 	return sim.Result{Counts: res.Counts, Shots: res.Shots}, nil
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -299,11 +300,12 @@ func TestMatchesSerialReference(t *testing.T) {
 	}
 }
 
-// TestCountsPackedAggregation pins the packed-counts aggregation contract:
-// a counts job whose instances all run on the bit-plane stabilizer engine
-// returns the merged outcome planes — instance shot slices concatenated in
-// instance order, covering the full budget — and the bitstring map is
-// exactly their expansion. A statevector job returns no planes.
+// TestCountsPackedAggregation pins the packed-counts contract: a counts
+// job whose instances all run on the bit-plane stabilizer engine returns
+// only the merged outcome planes — instance shot slices concatenated in
+// instance order, covering the full budget — and no bitstring map;
+// Executor.Counts returns exactly the planes' expansion. A statevector
+// job returns Counts and no planes.
 func TestCountsPackedAggregation(t *testing.T) {
 	dev := testDevice()
 	c := circuit.New(4, 2)
@@ -321,20 +323,21 @@ func TestCountsPackedAggregation(t *testing.T) {
 	if res.Packed == nil {
 		t.Fatal("stab counts job returned no packed planes")
 	}
+	if res.Counts != nil {
+		t.Fatalf("packed job also built a counts map: %v", res.Counts)
+	}
 	if res.Packed.Shots != res.Shots || res.Shots != 150 {
 		t.Fatalf("packed shots %d, merged shots %d, want 150", res.Packed.Shots, res.Shots)
 	}
 	if len(res.Packed.Planes) != 2 {
 		t.Fatalf("%d planes, want 2", len(res.Packed.Planes))
 	}
-	expanded := res.Packed.Counts()
-	if len(expanded.Counts) != len(res.Counts) {
-		t.Fatalf("plane expansion %v differs from merged counts %v", expanded.Counts, res.Counts)
+	counts, err := e.Counts(context.Background(), c, ro)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for bits, n := range res.Counts {
-		if expanded.Counts[bits] != n {
-			t.Errorf("counts[%q] = %d, plane expansion has %d", bits, n, expanded.Counts[bits])
-		}
+	if want := res.Packed.Counts(); !reflect.DeepEqual(counts, want) {
+		t.Fatalf("Executor.Counts %+v, plane expansion %+v", counts, want)
 	}
 	ro.Engine = EngineStatevector
 	res, err = e.Run(context.Background(), Job{Circuit: c, Opts: ro})
@@ -343,5 +346,8 @@ func TestCountsPackedAggregation(t *testing.T) {
 	}
 	if res.Packed != nil {
 		t.Error("statevector counts job returned packed planes")
+	}
+	if len(res.Counts) == 0 {
+		t.Error("statevector counts job returned no counts")
 	}
 }

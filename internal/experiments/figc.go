@@ -53,14 +53,14 @@ func correlDevice(backend string) (*device.Device, error) {
 	return device.NewLine("correl6", 6, devOpts), nil
 }
 
-// spectroscopyCircuit is the full-device Ramsey probe: H on every qubit,
+// SpectroscopyCircuit is the full-device Ramsey probe: H on every qubit,
 // depth idle windows of tau ns, H back, measure all. Ideally it is the
 // identity on |0...n>, so every recorded 1 is an error flip and the packed
 // outcome planes feed correl.Estimate directly. During the idle windows
 // every qubit sits in superposition, so always-on ZZ between neighbors
 // accumulates correlated phase that the closing H converts into correlated
 // bit flips — the two-point structure the estimator measures.
-func spectroscopyCircuit(n, depth int, tau float64) *circuit.Circuit {
+func SpectroscopyCircuit(n, depth int, tau float64) *circuit.Circuit {
 	c := circuit.New(n, n)
 	open := c.AddLayer(circuit.OneQubitLayer)
 	for q := 0; q < n; q++ {
@@ -103,7 +103,7 @@ func correlEngine(engine string, dev *device.Device) string {
 // correl.PackedFromCounts.
 func correlMatrix(dev *device.Device, st core.Strategy, depth int, tau float64, opts Options) (correl.Matrix, error) {
 	st.TwirlScope = twirl.AllQubits
-	c := spectroscopyCircuit(dev.NQubits, depth, tau)
+	c := SpectroscopyCircuit(dev.NQubits, depth, tau)
 	cfg := sim.DefaultConfig()
 	cfg.Shots = opts.Shots
 	cfg.Seed = opts.Seed + int64(depth*131) + int64(tau)

@@ -39,9 +39,18 @@ type wordRNG struct{ s uint64 }
 
 func (r *wordRNG) seed(v int64) { r.s = uint64(v) }
 
+// golden is the SplitMix64 stream increment.
+const golden = 0x9e3779b97f4a7c15
+
 func (r *wordRNG) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
+	r.s += golden
+	return mix64(r.s)
+}
+
+// mix64 is the SplitMix64 output function. The stream is counter-based:
+// draw k (1-based) from state s is mix64(s + k*golden), so any draw can be
+// computed without walking the ones before it.
+func mix64(z uint64) uint64 {
 	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
 	z = (z ^ z>>27) * 0x94d049bb133111eb
 	return z ^ z>>31
@@ -100,29 +109,50 @@ func (b *bern) draw(r *wordRNG) uint64 {
 	case b.invLog != 0:
 		// Geometric gaps: the index of each set bit advances by
 		// 1 + floor(ln(U)/ln(1-p)) — the exact Bernoulli process, visiting
-		// only the set bits.
+		// only the set bits. The gap is range-checked as a float before
+		// the int conversion: below p ~ 4e-18 it can exceed the int64
+		// range, and the conversion would wrap the index negative.
 		var w uint64
-		i := int(math.Log(r.float64()) * b.invLog)
-		for i < 64 {
+		for i := -1; ; {
+			g := math.Log(r.float64()) * b.invLog
+			if g >= 64 {
+				return w
+			}
+			if i += 1 + int(g); i >= 64 {
+				return w
+			}
 			w |= 1 << uint(i)
-			i += 1 + int(math.Log(r.float64())*b.invLog)
 		}
-		return w
 	}
-	// Dense: combine random words along the binary expansion of p
-	// (LSB-first over the 53-bit fraction): bit set -> OR, clear -> AND.
-	// Exact for the 53-bit truncation of p, like any float64 comparison.
+	// Dense: the mask is the LSB-first chain over the 53-bit fraction of p
+	// (w = r_t, then r_j | w where bit j is set and r_j & w where it is
+	// clear, j = t+1..52, t the lowest set bit) — exact for the 53-bit
+	// truncation of p, like any float64 comparison. It is evaluated
+	// MSB-first instead: a lane is decided by the first j from the top
+	// where r_j's bit equals p's bit (1 under OR, 0 under AND), so each
+	// draw settles half the open lanes and ~8 draws decide all 64. The
+	// stream is counter-based, so r_j is computed directly, and the state
+	// still advances by all 53-t draws: mask and RNG state are exactly
+	// those of the chain.
 	p53 := b.p53
 	t := bits.TrailingZeros64(p53)
-	w := r.next()
-	for j := t + 1; j < 53; j++ {
+	s0 := r.s
+	r.s += uint64(53-t) * golden
+	var w uint64
+	open := ^uint64(0)
+	for j := 52; j > t; j-- {
+		x := mix64(s0 + uint64(j-t+1)*golden)
 		if p53>>uint(j)&1 == 1 {
-			w = r.next() | w
+			w |= open & x
+			open &^= x
 		} else {
-			w = r.next() & w
+			open &= x
+		}
+		if open == 0 {
+			return w
 		}
 	}
-	return w
+	return w | open&mix64(s0+golden)
 }
 
 // blockOp is one program op lowered to bit-plane form: Cliffords carry
