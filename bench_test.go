@@ -172,6 +172,37 @@ func BenchmarkSimulator12Q(b *testing.B) {
 	}
 }
 
+var reseedSink uint64
+
+// BenchmarkShotReseed measures one per-shot reseed plus that shot's draws,
+// at the draw counts of a fast fig9 shot (63), a fast heavyhex127 fig6
+// shot (125) and a 127q stab scalar-tail shot (1250), for math/rand's own
+// source (std) and sim.ShotSource (shot). Both yield the same stream.
+func BenchmarkShotReseed(b *testing.B) {
+	sources := []struct {
+		name string
+		src  rand.Source64
+	}{
+		{"std", rand.NewSource(0).(rand.Source64)},
+		{"shot", new(sim.ShotSource)},
+	}
+	for _, s := range sources {
+		for _, draws := range []int{63, 125, 1250} {
+			b.Run(fmt.Sprintf("%s/draws=%d", s.name, draws), func(b *testing.B) {
+				src := s.src
+				var acc uint64
+				for i := 0; i < b.N; i++ {
+					src.Seed(sim.ShotSeed(1, i))
+					for k := 0; k < draws; k++ {
+						acc += src.Uint64()
+					}
+				}
+				reseedSink = acc
+			})
+		}
+	}
+}
+
 func BenchmarkTwirlInstance(b *testing.B) {
 	_, c := benchWorkload()
 	rng := rand.New(rand.NewSource(3))

@@ -13,7 +13,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"time"
@@ -279,7 +278,7 @@ func (e *Executor) Run(ctx context.Context, job Job) (Result, error) {
 			mInstances.Inc()
 			mInstanceSeconds.Observe(time.Since(instStart).Seconds())
 		}()
-		rng := rand.New(rand.NewSource(InstanceSeed(ro.Seed, k)))
+		rng := sim.NewRand(InstanceSeed(ro.Seed, k))
 		compiled, rep, err := e.Pipeline.ApplyContext(&pass.Context{
 			Dev: e.Dev, Rng: rng, Engine: ro.Engine,
 			Tracer: ro.Tracer, Lane: k + 1,

@@ -19,7 +19,7 @@ import (
 type shot struct {
 	r   *Runner
 	cp  *compiled
-	src rand.Source
+	src *ShotSource
 	rng *rand.Rand
 
 	psi   linalg.Vector
@@ -44,7 +44,7 @@ type shot struct {
 // newShot allocates a shot's buffers once. It must be paired with reset
 // before the first trajectory runs.
 func (r *Runner) newShot(cp *compiled) *shot {
-	src := rand.NewSource(0)
+	src := new(ShotSource)
 	s := &shot{
 		r:          r,
 		cp:         cp,
@@ -66,11 +66,12 @@ func (r *Runner) newShot(cp *compiled) *shot {
 	return s
 }
 
-// reset prepares the shot for a new trajectory: re-seed the RNG (the stream
-// is identical to a freshly constructed rand.New(rand.NewSource(seed))),
-// restore |0...0>, clear classical bits and accumulators, and redraw the
-// per-shot frequency offsets in the same RNG order as before the reuse
-// optimization, so trajectories are bit-identical to per-shot allocation.
+// reset prepares the shot for a new trajectory: re-seed the RNG (a
+// ShotSource, whose stream is identical to a freshly constructed
+// rand.New(rand.NewSource(seed))), restore |0...0>, clear classical bits
+// and accumulators, and redraw the per-shot frequency offsets in the same
+// RNG order as before the reuse optimization, so trajectories are
+// bit-identical to per-shot allocation.
 func (s *shot) reset(seed int64) {
 	s.src.Seed(seed)
 	for i := range s.psi {

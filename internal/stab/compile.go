@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"sort"
 	"sync"
@@ -13,6 +12,7 @@ import (
 	"casq/internal/device"
 	"casq/internal/gates"
 	"casq/internal/pauli"
+	"casq/internal/sim"
 	"casq/internal/twirl"
 )
 
@@ -749,7 +749,7 @@ func composeChan(a, b [4]float64) [4]float64 {
 // sampler needs.
 func (p *program) reference(seed int64) {
 	p.tab = NewTableau(p.nq)
-	rng := rand.New(rand.NewSource(seed*6364136223846793005 + 1442695040888963407))
+	rng := sim.NewRand(seed*6364136223846793005 + 1442695040888963407)
 	for i := range p.ops {
 		o := &p.ops[i]
 		switch o.kind {

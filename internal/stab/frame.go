@@ -16,12 +16,12 @@ import (
 type frame struct {
 	x, z  []uint64
 	cbits []int
-	src   rand.Source
+	src   *sim.ShotSource
 	rng   *rand.Rand
 }
 
 func newFrame(p *program) *frame {
-	src := rand.NewSource(0)
+	src := new(sim.ShotSource)
 	return &frame{
 		x:     make([]uint64, p.words),
 		z:     make([]uint64, p.words),
