@@ -327,18 +327,28 @@ func (l *Layer) CondRZ(q int, theta float64, bit, value int) *Layer {
 // Validate checks structural invariants: qubit indices in range, classical
 // bits in range, layer contents matching their kinds.
 func (c *Circuit) Validate() error {
-	for li, l := range c.Layers {
-		seen := map[int]bool{}
-		for _, in := range l.Instrs {
+	// seen[q] == li+1 marks qubit q as occupied in layer li, so one slice
+	// serves every layer without clearing. Devices up to 128 qubits fit
+	// the stack buffer.
+	var buf [128]int32
+	seen := buf[:]
+	if c.NQubits > len(buf) {
+		seen = make([]int32, c.NQubits)
+	}
+	for li := range c.Layers {
+		l := &c.Layers[li]
+		stamp := int32(li + 1)
+		for ii := range l.Instrs {
+			in := &l.Instrs[ii]
 			for _, q := range in.Qubits {
 				if q < 0 || q >= c.NQubits {
 					return fmt.Errorf("circuit: layer %d: qubit %d out of range", li, q)
 				}
 				if in.Gate != gates.Delay && in.Gate != gates.Barrier && in.Tag != "dd" {
-					if seen[q] {
+					if seen[q] == stamp {
 						return fmt.Errorf("circuit: layer %d: qubit %d used twice", li, q)
 					}
-					seen[q] = true
+					seen[q] = stamp
 				}
 			}
 			if in.Gate == gates.Measure && (in.CBit < 0 || in.CBit >= c.NCBits) {

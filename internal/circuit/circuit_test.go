@@ -244,3 +244,105 @@ func TestAddZeroAlloc(t *testing.T) {
 		t.Fatalf("Add allocated %.1f times per layer, want 0", allocs)
 	}
 }
+
+// TestValidateErrors pins Validate's messages and the order it finds
+// errors in: per instruction, qubit range and reuse come before the cbit,
+// the condition bit and the layer-kind check.
+func TestValidateErrors(t *testing.T) {
+	h := func(q int) Instruction { return Instruction{Gate: gates.H, Qubits: []int{q}} }
+	ecr := func(a, b int) Instruction { return Instruction{Gate: gates.ECR, Qubits: []int{a, b}} }
+	meas := func(q, cb int) Instruction { return Instruction{Gate: gates.Measure, Qubits: []int{q}, CBit: cb} }
+	cond := func(q, bit int) Instruction {
+		return Instruction{Gate: gates.XGate, Qubits: []int{q}, Cond: &Condition{Bit: bit, Value: 1}}
+	}
+	type layer struct {
+		kind   LayerKind
+		instrs []Instruction
+	}
+	for _, tc := range []struct {
+		name   string
+		layers []layer
+		want   string
+	}{
+		{"valid", []layer{
+			{OneQubitLayer, []Instruction{h(0), h(1)}},
+			{TwoQubitLayer, []Instruction{ecr(0, 1), {Gate: gates.XDD, Qubits: []int{2}, Tag: "dd"}, {Gate: gates.XDD, Qubits: []int{2}, Tag: "dd"}}},
+			{OneQubitLayer, []Instruction{h(0), {Gate: gates.Delay, Qubits: []int{1}, Params: []float64{50}}, h(1)}},
+			{MeasureLayer, []Instruction{meas(0, 0), meas(1, 1), meas(2, 1)}},
+		}, ""},
+		{"used twice", []layer{
+			{OneQubitLayer, []Instruction{h(0)}},
+			{TwoQubitLayer, []Instruction{ecr(0, 1), ecr(2, 1)}},
+		}, "circuit: layer 1: qubit 1 used twice"},
+		{"qubit out of range", []layer{
+			{OneQubitLayer, []Instruction{h(1), h(3)}},
+		}, "circuit: layer 0: qubit 3 out of range"},
+		{"negative qubit", []layer{
+			{TwoQubitLayer, []Instruction{ecr(0, -1)}},
+		}, "circuit: layer 0: qubit -1 out of range"},
+		{"qubit range before cbit", []layer{
+			{MeasureLayer, []Instruction{meas(5, 9)}},
+		}, "circuit: layer 0: qubit 5 out of range"},
+		{"reuse before cbit", []layer{
+			{MeasureLayer, []Instruction{meas(0, 0), meas(0, 9)}},
+		}, "circuit: layer 0: qubit 0 used twice"},
+		{"cbit out of range", []layer{
+			{MeasureLayer, []Instruction{meas(0, 0), meas(1, 2)}},
+		}, "circuit: layer 0: cbit 2 out of range"},
+		{"condition out of range", []layer{
+			{OneQubitLayer, []Instruction{h(0)}},
+			{OneQubitLayer, []Instruction{cond(1, 4)}},
+		}, "circuit: layer 1: condition bit 4 out of range"},
+		{"1q in 2q layer", []layer{
+			{TwoQubitLayer, []Instruction{ecr(0, 1), h(2)}},
+		}, "circuit: layer 0: 1q gate h in 2q layer without dd tag"},
+		{"first layer wins", []layer{
+			{TwoQubitLayer, []Instruction{h(2)}},
+			{OneQubitLayer, []Instruction{h(7)}},
+		}, "circuit: layer 0: 1q gate h in 2q layer without dd tag"},
+	} {
+		c := New(3, 2)
+		for _, l := range tc.layers {
+			c.Layers = append(c.Layers, Layer{Kind: l.kind, Instrs: l.instrs})
+		}
+		err := c.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		case tc.want != "" && (err == nil || err.Error() != tc.want):
+			t.Errorf("%s: got %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestValidateAllocs pins Validate's occupancy bookkeeping to one slice per
+// call, however many layers the circuit has, held on the stack up to 128
+// qubits.
+func TestValidateAllocs(t *testing.T) {
+	for _, tc := range []struct{ n, max int }{{6, 0}, {127, 0}, {300, 1}} {
+		n := tc.n
+		c := New(n, n)
+		for d := 0; d < 8; d++ {
+			l := c.AddLayer(OneQubitLayer)
+			for q := 0; q < n; q++ {
+				l.H(q)
+			}
+			l2 := c.AddLayer(TwoQubitLayer)
+			for q := 0; q+1 < n; q += 2 {
+				l2.ECR(q, q+1)
+			}
+		}
+		ml := c.AddLayer(MeasureLayer)
+		for q := 0; q < n; q++ {
+			ml.Measure(q, q)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := c.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > float64(tc.max) {
+			t.Errorf("%d qubits: Validate allocated %.1f times per call, want <= %d", n, allocs, tc.max)
+		}
+	}
+}

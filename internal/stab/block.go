@@ -195,9 +195,17 @@ type blockProgram struct {
 // ops copy the symplectic masks the compiler derived per table (the same
 // masks the reference tableau ran on), channels get their Bernoulli and
 // threshold tables. Called once per compiled program, before the shot
-// loop.
+// loop; the plan lives in the program's arena (a private one for programs
+// built without).
 func (p *program) blockPlan() *blockProgram {
-	bp := &blockProgram{nq: p.nq, ncb: p.ncb, ops: make([]blockOp, len(p.ops))}
+	ar := p.ar
+	if ar == nil {
+		ar = new(arena)
+	}
+	bp := &ar.bp
+	bp.nq, bp.ncb = p.nq, p.ncb
+	bp.ops = resized(bp.ops, len(p.ops))
+	qs := ar.qs[:0]
 	for i := range p.ops {
 		o := &p.ops[i]
 		b := &bp.ops[i]
@@ -225,22 +233,30 @@ func (p *program) blockPlan() *blockProgram {
 				b.refMask = ^uint64(0)
 			}
 			b.det = inf.det
-			for q := 0; q < p.nq; q++ {
-				w, bit := q/64, uint(q%64)
-				if !inf.det {
-					if inf.fx[w]>>bit&1 == 1 {
-						b.fxQ = append(b.fxQ, int32(q))
-					}
-					if inf.fz[w]>>bit&1 == 1 {
-						b.fzQ = append(b.fzQ, int32(q))
-					}
-				}
+			if !inf.det {
+				n := len(qs)
+				qs = appendBits(qs, inf.fx)
+				m := len(qs)
+				qs = appendBits(qs, inf.fz)
+				b.fxQ, b.fzQ = qs[n:m:m], qs[m:len(qs):len(qs)]
 			}
 			b.flip = makeBern(o.prob)
 			b.cbit = int32(o.cbit)
 		}
 	}
+	ar.qs = qs
 	return bp
+}
+
+// appendBits appends the indices of the set bits of a packed qubit mask to
+// dst, in increasing order.
+func appendBits(dst []int32, mask []uint64) []int32 {
+	for w, v := range mask {
+		for ; v != 0; v &= v - 1 {
+			dst = append(dst, int32(w*64+bits.TrailingZeros64(v)))
+		}
+	}
+	return dst
 }
 
 // blockFrame is one worker's reusable bit-plane state: the X/Z frame bits

@@ -4,15 +4,14 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 
 	"casq/internal/circuit"
 	"casq/internal/device"
 	"casq/internal/gates"
 	"casq/internal/pauli"
-	"casq/internal/sim"
 	"casq/internal/twirl"
 )
 
@@ -65,11 +64,17 @@ type measInfo struct {
 // program is one compiled circuit: the op stream, the reference
 // measurement record, and the final reference tableau (for expectation
 // values).
+//
+// A compiled program lives in the pooled arena ar and only for the Engine
+// call that compiled it: the call releases it on return, and everything
+// the call hands back (expectation values, outcome planes, CompileInfo) is
+// copied out of it first.
 type program struct {
 	nq, ncb, words int
 	ops            []op
 	meas           []measInfo
 	tab            *Tableau
+	ar             *arena // nil once released, and for hand-built programs
 }
 
 // CompileInfo summarizes a compiled program for benchmarks and tests.
@@ -115,8 +120,13 @@ func keyFor(g gates.Kind, params []float64) (matKey, bool) {
 }
 
 // clifford1For resolves (building on first use) the conjugation table of a
-// one-qubit gate kind, or nil when the gate is not Clifford.
+// one-qubit gate kind, or nil when the gate is not Clifford. Non-finite
+// angles are never Clifford; they are refused before the memo, where NaN
+// keys would never match and pile up.
 func clifford1For(g gates.Kind, params []float64) *pauli.Clifford1Q {
+	if !finite(params) {
+		return nil
+	}
 	k, cacheable := keyFor(g, params)
 	if cacheable {
 		tableMu.Lock()
@@ -139,9 +149,12 @@ func clifford1For(g gates.Kind, params []float64) *pauli.Clifford1Q {
 }
 
 // clifford2For resolves the conjugation table of a two-qubit gate kind,
-// or nil when it is not Clifford. ECR/CX/SWAP reuse the twirl package's
-// shared tables.
+// or nil when it is not Clifford (non-finite angles included, as in
+// clifford1For). ECR/CX/SWAP reuse the twirl package's shared tables.
 func clifford2For(g gates.Kind, params []float64) *pauli.CliffordTable {
+	if !finite(params) {
+		return nil
+	}
 	switch g {
 	case gates.ECR, gates.CX, gates.SWAP:
 		t, err := twirl.TableFor(g)
@@ -204,8 +217,9 @@ func splitQuarter(theta float64) (k int, delta float64) {
 // approximation absorbs. Specifically: any Clifford one-qubit gate;
 // RZ/RZZ at multiples of pi/2 (arbitrary angles allowed for "ec"-tagged
 // compensation gates, whose residual rides the coherent-phase
-// accumulator); ECR/CX/SWAP; measurements. Classically conditioned gates
-// and Reset are not representable (frame sampling has no feed-forward).
+// accumulator); ECR/CX/SWAP; measurements. Non-finite angles are rejected
+// for every tag. Classically conditioned gates and Reset are not
+// representable (frame sampling has no feed-forward).
 // A nil error means the stabilizer engine can run the circuit.
 func Supports(c *circuit.Circuit) error {
 	for li := range c.Layers {
@@ -213,6 +227,9 @@ func Supports(c *circuit.Circuit) error {
 			in := &c.Layers[li].Instrs[ii]
 			if in.Cond != nil {
 				return fmt.Errorf("stab: layer %d: conditioned %s has data-dependent frames", li, in.Gate)
+			}
+			if in.Gate != gates.Delay && !finite(in.Params) {
+				return fmt.Errorf("stab: layer %d: %s%v has a non-finite angle", li, in.Gate, in.Params)
 			}
 			switch in.Gate {
 			case gates.Delay, gates.Barrier, gates.ID, gates.Measure:
@@ -244,6 +261,18 @@ func Supports(c *circuit.Circuit) error {
 		}
 	}
 	return nil
+}
+
+// finite reports whether every angle is a finite number. NaN and ±Inf pass
+// the Clifford residual test (every comparison with NaN is false) and
+// would compile into silently dropped channels.
+func finite(params []float64) bool {
+	for _, v := range params {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // HasTwirl reports whether the circuit carries Pauli-twirl gates — the
@@ -323,12 +352,26 @@ type compiler struct {
 	ops   []op
 	nMeas int
 
-	// per-layer context
+	// per-layer context, cleared at the start of every layer
+	evs                    []cevent
 	rotary, active, driven []bool
 	gatePair               []bool
 }
 
+// compile compiles the circuit into a program that lives in an arena taken
+// from arenaPool. The caller releases the program when its call ends.
 func (e *Engine) compile(c *circuit.Circuit) (*program, error) {
+	ar := arenaPool.Get().(*arena)
+	p, err := e.compileIn(ar, c)
+	if err != nil {
+		ar.put()
+		return nil, err
+	}
+	return p, nil
+}
+
+// compileIn compiles the circuit into the buffers of ar.
+func (e *Engine) compileIn(ar *arena, c *circuit.Circuit) (*program, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -336,50 +379,8 @@ func (e *Engine) compile(c *circuit.Circuit) (*program, error) {
 		return nil, err
 	}
 	nq := c.NQubits
-	cp := &compiler{e: e, edgeIdx: map[device.Edge]int{}}
-	addEdge := func(ed device.Edge, hz float64) int {
-		if i, ok := cp.edgeIdx[ed]; ok {
-			return i
-		}
-		i := len(cp.edges)
-		cp.edges = append(cp.edges, ed)
-		cp.omega = append(cp.omega, hz*hzToRadPerNs)
-		cp.edgeIdx[ed] = i
-		return i
-	}
-	for _, ed := range e.Dev.AllCrosstalkEdges() {
-		addEdge(ed, e.Dev.ZZ[ed])
-	}
-	for _, l := range c.Layers {
-		for _, in := range l.Instrs {
-			if in.Gate == gates.RZZ {
-				ed := device.NewEdge(in.Qubits[0], in.Qubits[1])
-				if _, ok := cp.edgeIdx[ed]; !ok {
-					addEdge(ed, 0)
-				}
-			}
-		}
-	}
-	cp.qEdges = make([][]int, nq)
-	for i, ed := range cp.edges {
-		cp.qEdges[ed.A] = append(cp.qEdges[ed.A], i)
-		cp.qEdges[ed.B] = append(cp.qEdges[ed.B], i)
-	}
-	for d, hz := range e.Dev.Stark {
-		if hz != 0 {
-			cp.starks = append(cp.starks, starkTerm{d.Src, d.Dst, hz * hzToRadPerNs})
-		}
-	}
-	sort.Slice(cp.starks, func(i, j int) bool {
-		if cp.starks[i].src != cp.starks[j].src {
-			return cp.starks[i].src < cp.starks[j].src
-		}
-		return cp.starks[i].dst < cp.starks[j].dst
-	})
-	cp.phi = make([]float64, nq)
-	cp.tau = make([]float64, nq)
-	cp.phiZZ = make([]float64, len(cp.edges))
-
+	cp := &ar.cp
+	cp.setup(e, c)
 	for li := range c.Layers {
 		if err := cp.layer(&c.Layers[li], nq); err != nil {
 			return nil, fmt.Errorf("stab: layer %d: %w", li, err)
@@ -389,26 +390,93 @@ func (e *Engine) compile(c *circuit.Circuit) (*program, error) {
 		cp.flush(q)
 	}
 
-	p := &program{nq: nq, ncb: c.NCBits, words: (nq + 63) / 64, ops: cp.ops}
+	p := &program{nq: nq, ncb: c.NCBits, words: (nq + 63) / 64, ops: cp.ops, ar: ar}
 	p.reference(e.Cfg.Seed)
 	return p, nil
+}
+
+// setup sizes and clears the walker's tables for circuit c on e's device.
+// Edge indices follow insertion order: the device's NN edges, its NNN
+// edges, then any RZZ pair the device does not couple.
+func (cp *compiler) setup(e *Engine, c *circuit.Circuit) {
+	nq := c.NQubits
+	cp.e = e
+	cp.edges = cp.edges[:0]
+	cp.omega = cp.omega[:0]
+	if cp.edgeIdx == nil {
+		cp.edgeIdx = map[device.Edge]int{}
+	}
+	clear(cp.edgeIdx)
+	for _, ed := range e.Dev.Edges {
+		cp.addEdge(ed, e.Dev.ZZ[ed])
+	}
+	for _, ed := range e.Dev.NNNEdges {
+		cp.addEdge(ed, e.Dev.ZZ[ed])
+	}
+	for li := range c.Layers {
+		for ii := range c.Layers[li].Instrs {
+			if in := &c.Layers[li].Instrs[ii]; in.Gate == gates.RZZ {
+				cp.addEdge(device.NewEdge(in.Qubits[0], in.Qubits[1]), 0)
+			}
+		}
+	}
+	cp.qEdges = slices.Grow(cp.qEdges[:0], nq)[:nq]
+	for q := range cp.qEdges {
+		cp.qEdges[q] = cp.qEdges[q][:0]
+	}
+	for i, ed := range cp.edges {
+		cp.qEdges[ed.A] = append(cp.qEdges[ed.A], i)
+		cp.qEdges[ed.B] = append(cp.qEdges[ed.B], i)
+	}
+	cp.starks = cp.starks[:0]
+	for d, hz := range e.Dev.Stark {
+		if hz != 0 {
+			cp.starks = append(cp.starks, starkTerm{d.Src, d.Dst, hz * hzToRadPerNs})
+		}
+	}
+	slices.SortFunc(cp.starks, func(a, b starkTerm) int {
+		if a.src != b.src {
+			return cmp.Compare(a.src, b.src)
+		}
+		return cmp.Compare(a.dst, b.dst)
+	})
+	cp.phi = resized(cp.phi, nq)
+	cp.tau = resized(cp.tau, nq)
+	cp.phiZZ = resized(cp.phiZZ, len(cp.edges))
+	cp.rotary = resized(cp.rotary, nq)
+	cp.active = resized(cp.active, nq)
+	cp.driven = resized(cp.driven, nq)
+	cp.gatePair = resized(cp.gatePair, len(cp.edges))
+	cp.ops = cp.ops[:0]
+	cp.nMeas = 0
+}
+
+// addEdge indexes a crosstalk edge with its ZZ rate, keeping the first
+// index of an edge seen twice.
+func (cp *compiler) addEdge(ed device.Edge, hz float64) {
+	if _, ok := cp.edgeIdx[ed]; ok {
+		return
+	}
+	cp.edgeIdx[ed] = len(cp.edges)
+	cp.edges = append(cp.edges, ed)
+	cp.omega = append(cp.omega, hz*hzToRadPerNs)
+}
+
+// emit queues one event of the current layer, in program order.
+func (cp *compiler) emit(ev cevent) {
+	ev.seq = len(cp.evs)
+	cp.evs = append(cp.evs, ev)
 }
 
 // layer compiles one scheduled layer: event extraction mirroring the
 // statevector compiler, then a symbolic walk that accumulates coherent
 // phases between events and emits ops at them.
 func (cp *compiler) layer(l *circuit.Layer, nq int) error {
-	cp.rotary = make([]bool, nq)
-	cp.active = make([]bool, nq)
-	cp.driven = make([]bool, nq)
-	cp.gatePair = make([]bool, len(cp.edges))
-	var evs []cevent
-	seq := 0
-	emit := func(ev cevent) {
-		ev.seq = seq
-		seq++
-		evs = append(evs, ev)
-	}
+	clear(cp.rotary)
+	clear(cp.active)
+	clear(cp.driven)
+	clear(cp.gatePair)
+	cp.evs = cp.evs[:0]
 	dev := cp.e.Dev
 	for ii := range l.Instrs {
 		in := &l.Instrs[ii]
@@ -417,7 +485,7 @@ func (cp *compiler) layer(l *circuit.Layer, nq int) error {
 			continue
 		case in.Gate == gates.Measure:
 			cp.active[in.Qubits[0]] = true
-			emit(cevent{t: l.Start, kind: cevMeasure, q0: in.Qubits[0], cbit: in.CBit})
+			cp.emit(cevent{t: l.Start, kind: cevMeasure, q0: in.Qubits[0], cbit: in.CBit})
 		case gates.NumQubits(in.Gate) == 2:
 			q0, q1 := in.Qubits[0], in.Qubits[1]
 			cp.active[q0], cp.active[q1] = true, true
@@ -435,22 +503,22 @@ func (cp *compiler) layer(l *circuit.Layer, nq int) error {
 			switch in.Gate {
 			case gates.RZZ:
 				ei := cp.edgeIdx[device.NewEdge(q0, q1)]
-				emit(cevent{t: mid, kind: cevEchoFlip, q0: q0})
-				emit(cevent{t: end, kind: cevEchoFlip, q0: q0})
-				emit(cevent{t: end, kind: cevRZZ, q0: q0, q1: q1, angle: in.Params[0], edge: ei, ec: in.Tag == "ec"})
+				cp.emit(cevent{t: mid, kind: cevEchoFlip, q0: q0})
+				cp.emit(cevent{t: end, kind: cevEchoFlip, q0: q0})
+				cp.emit(cevent{t: end, kind: cevRZZ, q0: q0, q1: q1, angle: in.Params[0], edge: ei, ec: in.Tag == "ec"})
 				frac := math.Abs(in.Params[0]) / (math.Pi / 2)
 				if frac > 1 {
 					frac = 1
 				}
-				emit(cevent{t: end, kind: cevGateErr2, q0: q0, q1: q1, errP: errP * frac})
+				cp.emit(cevent{t: end, kind: cevGateErr2, q0: q0, q1: q1, errP: errP * frac})
 			default: // ECR, CX, SWAP, Clifford Ucan/ZX: one ideal Clifford
 				tab := clifford2For(in.Gate, in.Params)
 				if tab == nil {
 					return fmt.Errorf("%s is not Clifford", in.Gate)
 				}
-				emit(cevent{t: l.Start, kind: cevClifford2, q0: q0, q1: q1, c2: tab, ecr: in.Gate == gates.ECR})
-				emit(cevent{t: mid, kind: cevEchoFlip, q0: q0})
-				emit(cevent{t: end, kind: cevGateErr2, q0: q0, q1: q1, errP: errP})
+				cp.emit(cevent{t: l.Start, kind: cevClifford2, q0: q0, q1: q1, c2: tab, ecr: in.Gate == gates.ECR})
+				cp.emit(cevent{t: mid, kind: cevEchoFlip, q0: q0})
+				cp.emit(cevent{t: end, kind: cevGateErr2, q0: q0, q1: q1, errP: errP})
 			}
 		default: // one-qubit
 			q := in.Qubits[0]
@@ -464,28 +532,29 @@ func (cp *compiler) layer(l *circuit.Layer, nq int) error {
 			}
 			switch in.Gate {
 			case gates.RZ:
-				emit(cevent{t: t, kind: cevVirtualZ, q0: q, angle: in.Params[0], ec: in.Tag == "ec"})
+				cp.emit(cevent{t: t, kind: cevVirtualZ, q0: q, angle: in.Params[0], ec: in.Tag == "ec"})
 			case gates.ZGate:
-				emit(cevent{t: t, kind: cevVirtualZ, q0: q, angle: math.Pi})
+				cp.emit(cevent{t: t, kind: cevVirtualZ, q0: q, angle: math.Pi})
 			case gates.S:
-				emit(cevent{t: t, kind: cevVirtualZ, q0: q, angle: math.Pi / 2})
+				cp.emit(cevent{t: t, kind: cevVirtualZ, q0: q, angle: math.Pi / 2})
 			case gates.Sdg:
-				emit(cevent{t: t, kind: cevVirtualZ, q0: q, angle: -math.Pi / 2})
+				cp.emit(cevent{t: t, kind: cevVirtualZ, q0: q, angle: -math.Pi / 2})
 			case gates.ID:
 				// no-op
 			case gates.XGate, gates.XDD:
-				emit(cevent{t: t, kind: cevPauliPulse, q0: q, p: pauli.X, errP: errP})
+				cp.emit(cevent{t: t, kind: cevPauliPulse, q0: q, p: pauli.X, errP: errP})
 			case gates.YGate:
-				emit(cevent{t: t, kind: cevPauliPulse, q0: q, p: pauli.Y, errP: errP})
+				cp.emit(cevent{t: t, kind: cevPauliPulse, q0: q, p: pauli.Y, errP: errP})
 			default:
 				tab := clifford1For(in.Gate, in.Params)
 				if tab == nil {
 					return fmt.Errorf("%s%v is not Clifford", in.Gate, in.Params)
 				}
-				emit(cevent{t: t, kind: cevApply1Q, q0: q, c1: tab, errP: errP})
+				cp.emit(cevent{t: t, kind: cevApply1Q, q0: q, c1: tab, errP: errP})
 			}
 		}
 	}
+	evs := cp.evs
 	slices.SortFunc(evs, func(a, b cevent) int {
 		if a.t != b.t {
 			return cmp.Compare(a.t, b.t)
@@ -746,10 +815,16 @@ func composeChan(a, b [4]float64) [4]float64 {
 // reference runs the ideal Clifford skeleton once on the tableau, drawing
 // nondeterministic measurement outcomes from a seed-derived RNG and
 // recording, per measurement, the branch-flip stabilizer the frame
-// sampler needs.
+// sampler needs. The tableau, the RNG and the records live in p.ar.
 func (p *program) reference(seed int64) {
-	p.tab = NewTableau(p.nq)
-	rng := sim.NewRand(seed*6364136223846793005 + 1442695040888963407)
+	ar := p.ar
+	p.tab = ar.tableau(p.nq)
+	if ar.rng == nil {
+		ar.rng = rand.New(&ar.src)
+	}
+	ar.src.Seed(seed*6364136223846793005 + 1442695040888963407)
+	meas, flips := ar.meas[:0], ar.flips[:0]
+	w := p.words
 	for i := range p.ops {
 		o := &p.ops[i]
 		switch o.kind {
@@ -760,10 +835,19 @@ func (p *program) reference(seed int64) {
 		case opPauliGate:
 			p.tab.ApplyPauli(o.q0, o.p)
 		case opMeasure:
-			bit, det, fx, fz := p.tab.MeasureZ(o.q0, rng)
-			p.meas = append(p.meas, measInfo{ref: bit, det: det, fx: fx, fz: fz})
+			bit, det := p.tab.measureZ(o.q0, ar.rng)
+			inf := measInfo{ref: bit, det: det}
+			if !det {
+				n := len(flips)
+				flips = append(append(flips, p.tab.gx...), p.tab.gz...)
+				inf.fx = flips[n : n+w : n+w]
+				inf.fz = flips[n+w : n+2*w : n+2*w]
+			}
+			meas = append(meas, inf)
 		}
 	}
+	p.meas = meas
+	ar.meas, ar.flips = meas, flips
 }
 
 // info summarizes the program.

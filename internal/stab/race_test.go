@@ -1,0 +1,5 @@
+//go:build race
+
+package stab
+
+const raceEnabled = true

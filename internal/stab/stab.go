@@ -87,6 +87,7 @@ func (e *Engine) Counts(c *circuit.Circuit) (sim.Result, error) {
 		if err != nil {
 			return sim.Result{}, err
 		}
+		defer p.release()
 		shots := e.numShots()
 		keys := make([]string, shots)
 		e.forEachShot(p, func(i int, f *frame) {
@@ -121,6 +122,12 @@ func (e *Engine) CountsPacked(c *circuit.Circuit) (sim.PackedBits, error) {
 	if err != nil {
 		return sim.PackedBits{}, err
 	}
+	defer p.release()
+	return e.countsPacked(p), nil
+}
+
+// countsPacked samples the compiled program into fresh outcome planes.
+func (e *Engine) countsPacked(p *program) sim.PackedBits {
 	pb := sim.NewPackedBits(p.ncb, e.numShots())
 	e.forEachShotBlock(p,
 		func(b, base int, bf *blockFrame) {
@@ -133,7 +140,7 @@ func (e *Engine) CountsPacked(c *circuit.Circuit) (sim.PackedBits, error) {
 				pb.Set(cb, i, v)
 			}
 		})
-	return pb, nil
+	return pb
 }
 
 // obsPlan is one compiled observable: packed X/Z masks (qubit axis, for
@@ -193,6 +200,14 @@ func (e *Engine) Expectations(c *circuit.Circuit, obs []sim.ObsSpec) ([]float64,
 	if err != nil {
 		return nil, err
 	}
+	defer p.release()
+	return e.expectations(p, obs)
+}
+
+// expectations samples the compiled program's observable means into a
+// fresh slice.
+func (e *Engine) expectations(p *program, obs []sim.ObsSpec) ([]float64, error) {
+	var err error
 	plans := make([]obsPlan, len(obs))
 	for j, o := range obs {
 		if plans[j], err = e.planObs(p, o); err != nil {
@@ -218,7 +233,8 @@ func (e *Engine) Expectations(c *circuit.Circuit, obs []sim.ObsSpec) ([]float64,
 	// One row per full 64-shot block, then one per remainder tail shot.
 	full := shots / sim.ShotBlockSize
 	rem := shots - full*sim.ShotBlockSize
-	sums := make([]float64, (full+rem)*nobs)
+	sums := resized(p.ar.sums, (full+rem)*nobs)
+	p.ar.sums = sums
 	e.forEachShotBlock(p,
 		func(b, base int, bf *blockFrame) {
 			row := sums[b*nobs : (b+1)*nobs]
@@ -268,6 +284,7 @@ func (e *Engine) Info(c *circuit.Circuit) (CompileInfo, error) {
 	if err != nil {
 		return CompileInfo{}, err
 	}
+	defer p.release()
 	return p.info(), nil
 }
 

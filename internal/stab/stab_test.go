@@ -209,3 +209,47 @@ func TestEngineInfo(t *testing.T) {
 		t.Fatalf("implausible compile info: %+v", inf)
 	}
 }
+
+// TestSupportsRejectsNonFiniteAngles: NaN and ±Inf angles pass the
+// Clifford residual test by comparison alone, so Supports must reject them
+// explicitly — for every tag — and the Clifford-table memos must not grow
+// with NaN keys that never match.
+func TestSupportsRejectsNonFiniteAngles(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, tag := range []string{"", "ec", "twirl"} {
+			rz := circuit.New(1, 0)
+			rz.AddLayer(circuit.OneQubitLayer).Add(circuit.Instruction{Gate: gates.RZ, Qubits: []int{0}, Params: []float64{v}, Tag: tag})
+			if Supports(rz) == nil {
+				t.Errorf("rz(%g) tag %q accepted", v, tag)
+			}
+			rzz := circuit.New(2, 0)
+			rzz.AddLayer(circuit.TwoQubitLayer).Add(circuit.Instruction{Gate: gates.RZZ, Qubits: []int{0, 1}, Params: []float64{v}, Tag: tag})
+			if Supports(rzz) == nil {
+				t.Errorf("rzz(%g) tag %q accepted", v, tag)
+			}
+		}
+		u := circuit.New(1, 0)
+		u.AddLayer(circuit.OneQubitLayer).U(0, math.Pi/2, v, math.Pi)
+		if Supports(u) == nil {
+			t.Errorf("u(pi/2, %g, pi) accepted", v)
+		}
+	}
+
+	memoSizes := func() (int, int) {
+		tableMu.Lock()
+		defer tableMu.Unlock()
+		return len(cliff1Memo), len(cliff2Memo)
+	}
+	n1, n2 := memoSizes()
+	for i := 0; i < 5; i++ {
+		if clifford1For(gates.U3, []float64{math.Pi / 2, math.NaN(), math.Pi}) != nil {
+			t.Fatal("u with a NaN angle resolved to a Clifford table")
+		}
+		if clifford2For(gates.Ucan, []float64{math.NaN(), 0, 0}) != nil {
+			t.Fatal("ucan with a NaN angle resolved to a Clifford table")
+		}
+	}
+	if m1, m2 := memoSizes(); m1 != n1 || m2 != n2 {
+		t.Fatalf("NaN keys memoized: cliff1Memo %d -> %d, cliff2Memo %d -> %d", n1, m1, n2, m2)
+	}
+}

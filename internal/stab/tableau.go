@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"casq/internal/pauli"
@@ -54,11 +55,20 @@ func NewTableau(n int) *Tableau {
 		gx:    make([]uint64, words),
 		gz:    make([]uint64, words),
 	}
-	for i := 0; i < n; i++ {
-		setBit(t.x[i*rw:], i, 1)
-		setBit(t.z[i*rw:], n+i, 1)
-	}
+	t.reset()
 	return t
+}
+
+// reset returns the tableau to |0...0>. The remaining buffers are scratch
+// that every use clears or overwrites first.
+func (t *Tableau) reset() {
+	clear(t.x)
+	clear(t.z)
+	clear(t.sign)
+	for i := 0; i < t.n; i++ {
+		setBit(t.x[i*t.rw:], i, 1)
+		setBit(t.z[i*t.rw:], t.n+i, 1)
+	}
 }
 
 // N returns the qubit count.
@@ -332,6 +342,17 @@ func (t *Tableau) mulScratchRows(rows []uint64) {
 // nondeterministic outcomes per shot without losing multi-qubit outcome
 // correlations.
 func (t *Tableau) MeasureZ(q int, rng *rand.Rand) (bit int, deterministic bool, flipX, flipZ []uint64) {
+	bit, deterministic = t.measureZ(q, rng)
+	if deterministic {
+		return bit, true, nil, nil
+	}
+	return bit, false, slices.Clone(t.gx), slices.Clone(t.gz)
+}
+
+// measureZ is MeasureZ without the copies: a nondeterministic measurement
+// leaves the anticommuting pre-measurement stabilizer in (gx, gz), valid
+// until the next tableau call.
+func (t *Tableau) measureZ(q int, rng *rand.Rand) (bit int, deterministic bool) {
 	xq := t.xcol(q)
 	p := -1
 	for k, w := range xq {
@@ -349,13 +370,11 @@ func (t *Tableau) MeasureZ(q int, rng *rand.Rand) (bit int, deterministic bool, 
 		if t.ssign {
 			bit = 1
 		}
-		return bit, true, nil, nil
+		return bit, true
 	}
 	// Nondeterministic: record the anticommuting stabilizer for frame
 	// redraws, then perform the standard CHP update.
 	sp := t.gather(p)
-	flipX = append([]uint64(nil), t.gx...)
-	flipZ = append([]uint64(nil), t.gz...)
 	// Every other row containing X_q becomes (row p) * row, all rows in one
 	// pass per qubit: p's factor at qubit j is a constant, the rows' factors
 	// are whole words, and each row's i-exponent accumulates in the
@@ -413,7 +432,7 @@ func (t *Tableau) MeasureZ(q int, rng *rand.Rand) (bit int, deterministic bool, 
 	setBit(t.sign, d, sp)
 	bit = rng.Intn(2)
 	setBit(t.sign, p, uint64(bit))
-	return bit, false, flipX, flipZ
+	return bit, false
 }
 
 // ExpectPacked returns <psi| P |psi> for the packed Pauli (px, pz) with
