@@ -717,6 +717,49 @@ func BenchmarkCompileLayerBuild127Q(b *testing.B) {
 	b.ReportMetric(float64(len(pre)+len(gate)+len(post)), "instrs")
 }
 
+// BenchmarkCompileFig8Layer127Q compiles one twirl instance of fig8's
+// full-device circuit — a preparation layer and four copies of the Eagle
+// ECR tiling — under each strategy fig8 benchmarks, with the layer-fidelity
+// protocol's all-qubit twirl. This is the pass pipeline the fig8_eagle127
+// workload runs 144 times per figure.
+func BenchmarkCompileFig8Layer127Q(b *testing.B) {
+	dev, err := device.NewBackend("eagle127")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tiled := layerfid.TiledLayer(dev)
+	c := circuit.New(dev.NQubits, 0)
+	prep := c.AddLayer(circuit.OneQubitLayer)
+	for _, in := range tiled.TwoQubitGates() {
+		prep.H(in.Qubits[0])
+	}
+	for d := 0; d < 4; d++ {
+		c.Layers = append(c.Layers, tiled.Clone())
+	}
+	withDD := func(s dd.Strategy) pass.Pass {
+		o := dd.DefaultOptions()
+		o.Strategy = s
+		return pass.DD(o)
+	}
+	all := pass.Twirl(twirl.AllQubits)
+	for _, pl := range []pass.Pipeline{
+		pass.New("twirled", all, pass.Schedule()),
+		pass.New("dd-aligned", all, pass.Schedule(), withDD(dd.Aligned)),
+		pass.New("ca-dd", all, pass.Schedule(), withDD(dd.ContextAware)),
+		pass.New("ca-ec", all, pass.Schedule(), pass.EC(caec.DefaultOptions())),
+	} {
+		b.Run(pl.Name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(3))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := pl.Apply(dev, rng, c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkLayoutPipeline127Q compiles the full placed pipeline
 // (layout -> route -> twirl -> sched -> CA-DD) against the Eagle lattice —
 // the end-to-end cost of targeting a full-scale device.

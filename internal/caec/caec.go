@@ -75,12 +75,25 @@ func Apply(c *circuit.Circuit, dev *device.Device, opts Options) (*circuit.Circu
 	if opts.MinAngle <= 0 {
 		opts.MinAngle = 1e-9
 	}
+	n := max(c.NQubits, dev.NQubits)
+	it := toggling.NewIntegrator(dev, n)
+	ne := len(it.Edges)
 	p := &pass{
-		dev:    dev,
-		opts:   opts,
-		out:    circuit.New(c.NQubits, c.NCBits),
-		comp2q: map[device.Edge]float64{},
+		dev:      dev,
+		opts:     opts,
+		out:      circuit.New(c.NQubits, c.NCBits),
+		it:       it,
+		comp:     make([]float64, ne),
+		pending:  make([]bool, ne),
+		seen:     make([]bool, ne),
+		gateAt:   make([]int, ne),
+		gateMark: make([]int32, ne),
+		roles:    make([]role, n),
+		mark:     make([]int32, n),
+		zAcc:     make([]float64, n),
+		zHas:     make([]bool, n),
 	}
+	p.out.Layers = make([]circuit.Layer, 0, 2*len(c.Layers)+1)
 	for li := range c.Layers {
 		if err := p.processLayer(&c.Layers[li]); err != nil {
 			return nil, p.stats, fmt.Errorf("caec: layer %d: %w", li, err)
@@ -89,23 +102,98 @@ func Apply(c *circuit.Circuit, dev *device.Device, opts Options) (*circuit.Circu
 	// Materialize anything still pending at the end of the circuit. Each
 	// correction layer idles the rest of the device briefly and can leave
 	// new (much smaller) pending terms; a few rounds converge.
-	for iter := 0; iter < 3 && len(p.comp2q) > 0; iter++ {
-		p.materializeAll()
+	for iter := 0; iter < 3 && p.nPending > 0; iter++ {
+		p.materializePending(p.pendingList())
 	}
 	sched.Schedule(p.out, dev)
 	return p.out, p.stats, nil
 }
 
+// pass is the state of one Apply call. Its slices are scratch indexed by
+// qubit or by crosstalk edge (the integrator's Edges order), reused layer
+// after layer; nothing in the returned circuit aliases them.
 type pass struct {
-	dev       *device.Device
-	opts      Options
-	out       *circuit.Circuit
-	comp2q    map[device.Edge]float64 // pending ZZ *error* angle per edge
-	collapsed map[int]bool            // qubits already measured mid-circuit
-	stats     Stats
+	dev   *device.Device
+	opts  Options
+	out   *circuit.Circuit
+	it    *toggling.Integrator
+	stats Stats
+
+	// The compensation dictionary: pending[i] says edge i holds a pending
+	// ZZ *error* angle comp[i] (possibly zero); nPending counts them.
+	// Walks over it go in edge order, so float sums over edges
+	// (Stats.DroppedAngles) are bit-deterministic.
+	comp     []float64
+	pending  []bool
+	nPending int
+
+	// Per-layer marks: an entry is current when it holds this layer's
+	// stamp, so nothing is cleared between layers.
+	stamp    int32
+	gateAt   []int   // per edge: index in the layer of the gate on it
+	gateMark []int32 // per edge: stamp of the layer gateAt refers to
+	roles    []role  // per qubit: operand role in the current gate layer
+	mark     []int32 // per qubit: twirl flips, or used by a packed RZZ
+
+	collapsed []bool // qubits already measured mid-circuit; nil before any
+
+	// Z corrections being merged into one virtual-Rz layer.
+	zAcc []float64
+	zHas []bool
+	zQs  []int
+
+	// processTwoQubitLayer's state: the edges pending before resolution,
+	// the CX-converted Z corrections due after the layer, and the edges to
+	// materialize before it (also reused for other edge lists).
+	seen   []bool
+	afterZ []zCorr
+	must   []int
+	work   []int // materializePending's packing queue
+}
+
+// role is a qubit's operand role in the two-qubit gate layer of stamp.
+type role struct {
+	kind  gates.Kind
+	first bool
+	stamp int32
+}
+
+// nextStamp starts a new round of marks.
+func (p *pass) nextStamp() int32 {
+	p.stamp++
+	return p.stamp
 }
 
 func (p *pass) isCollapsed(q int) bool { return p.collapsed != nil && p.collapsed[q] }
+
+// addPending adds a ZZ error angle to edge i's pending compensation.
+func (p *pass) addPending(i int, theta float64) {
+	if !p.pending[i] {
+		p.pending[i] = true
+		p.nPending++
+	}
+	p.comp[i] += theta
+}
+
+// dropPending removes edge i's pending compensation.
+func (p *pass) dropPending(i int) {
+	if p.pending[i] {
+		p.pending[i] = false
+		p.nPending--
+	}
+	p.comp[i] = 0
+}
+
+// pendingList lists the pending edges in edge order.
+func (p *pass) pendingList() []int {
+	p.must = p.must[:0]
+	for i, ok := range p.pending {
+		if ok {
+			p.must = append(p.must, i)
+		}
+	}
+	return p.must
+}
 
 func (p *pass) processLayer(l *circuit.Layer) error {
 	switch l.Kind {
@@ -130,18 +218,18 @@ func (p *pass) processLayer(l *circuit.Layer) error {
 // layer: the sign flips iff exactly one endpoint's Pauli anticommutes with
 // Z (paper Fig. 1d).
 func (p *pass) commuteThroughTwirl(l *circuit.Layer) {
-	flips := map[int]bool{}
-	for _, in := range l.Instrs {
-		if in.Gate == gates.XGate || in.Gate == gates.YGate {
-			flips[in.Qubits[0]] = true
+	flip := p.nextStamp()
+	for i := range l.Instrs {
+		if in := &l.Instrs[i]; in.Gate == gates.XGate || in.Gate == gates.YGate {
+			p.mark[in.Qubits[0]] = flip
 		}
 	}
-	for e, v := range p.comp2q {
-		if v == 0 {
+	for i, e := range p.it.Edges {
+		if !p.pending[i] || p.comp[i] == 0 {
 			continue
 		}
-		if flips[e.A] != flips[e.B] {
-			p.comp2q[e] = -v
+		if (p.mark[e.A] == flip) != (p.mark[e.B] == flip) {
+			p.comp[i] = -p.comp[i]
 			p.stats.SignFlips++
 		}
 	}
@@ -152,142 +240,142 @@ func (p *pass) commuteThroughTwirl(l *circuit.Layer) {
 // and accounts for the new errors it generates.
 func (p *pass) processTwoQubitLayer(l *circuit.Layer) error {
 	nl := l.Clone()
-	gatesByEdge := map[device.Edge]*circuit.Instruction{}
+	stamp := p.nextStamp()
 	for i := range nl.Instrs {
 		in := &nl.Instrs[i]
-		if gates.NumQubits(in.Gate) == 2 {
-			gatesByEdge[device.NewEdge(in.Qubits[0], in.Qubits[1])] = in
+		if gates.NumQubits(in.Gate) != 2 {
+			continue
+		}
+		// Operand roles: qubit -> (gate kind, operand index).
+		p.roles[in.Qubits[0]] = role{in.Gate, true, stamp}
+		p.roles[in.Qubits[1]] = role{in.Gate, false, stamp}
+		if e, ok := p.it.EdgeIndex(in.Qubits[0], in.Qubits[1]); ok {
+			p.gateAt[e], p.gateMark[e] = i, stamp
 		}
 	}
+	p.afterZ = p.afterZ[:0]
 
-	// Operand roles: qubit -> (gate kind, operand index).
-	type role struct {
-		kind  gates.Kind
-		first bool
-	}
-	roles := map[int]role{}
-	for _, in := range nl.Instrs {
-		if gates.NumQubits(in.Gate) == 2 {
-			roles[in.Qubits[0]] = role{in.Gate, true}
-			roles[in.Qubits[1]] = role{in.Gate, false}
+	copy(p.seen, p.pending)
+	p.must = p.must[:0]
+	for i := range p.it.Edges {
+		if !p.seen[i] {
+			continue
 		}
-	}
-
-	var afterZ []zCorr
-	// classify decides what happens to a pending Rzz on edge e as it meets
-	// this layer: absorbed into a gate on the same edge; carried through
-	// (sign-conjugated by the ideal gates: ECR flips Z on its control,
-	// CX/RZZ preserve it); or blocked (gate targets and Ucan operands turn
-	// ZZ into non-diagonal operators) and hence materialized before the
-	// layer.
-	classify := func(e device.Edge, theta float64) (carrySign float64, blocked bool) {
-		carrySign = 1
-		for _, q := range []int{e.A, e.B} {
-			r, ok := roles[q]
-			if !ok {
-				continue
-			}
-			switch {
-			case r.kind == gates.RZZ:
-				// diagonal: commutes on either operand
-			case r.kind == gates.Ucan:
-				blocked = true
-			case r.first: // control of ECR/CX/ZX/SWAP
-				switch r.kind {
-				case gates.ECR:
-					carrySign = -carrySign // ECR Z_c ECR^dag = -Z_c
-				case gates.CX:
-					// CX preserves Z on its control
-				default:
-					blocked = true
-				}
-			default: // target of ECR/CX/...: Z_t maps to a non-local Pauli
-				blocked = true
-			}
-		}
-		return carrySign, blocked
-	}
-
-	resolve := func(e device.Edge, theta float64) (done bool) {
-		if in, ok := gatesByEdge[e]; ok {
-			switch in.Gate {
-			case gates.Ucan:
-				_, _, g := gates.AbsorbRzzIntoUcan(in.Params[0], in.Params[1], in.Params[2], theta)
-				in.Params[2] = g
-				p.stats.AbsorbedUcan++
-				delete(p.comp2q, e)
-				return true
-			case gates.RZZ:
-				in.Params[0] = gates.AbsorbRzzIntoRzz(in.Params[0], theta)
-				p.stats.AbsorbedUcan++
-				delete(p.comp2q, e)
-				return true
-			case gates.CX:
-				// CX . Rzz(theta) = (I x Rz(theta)) . CX: the pending ZZ
-				// becomes a free virtual Rz on the target after the gate.
-				afterZ = append(afterZ, zCorr{q: in.Qubits[1], errAngle: theta})
-				p.stats.AbsorbedCX++
-				delete(p.comp2q, e)
-				return true
-			}
-		}
-		return false
-	}
-
-	var mustMaterialize []device.Edge
-	processed := map[device.Edge]bool{}
-	for e, theta := range p.comp2q {
-		processed[e] = true
+		theta := p.comp[i]
 		if math.Abs(theta) < p.opts.MinAngle {
-			delete(p.comp2q, e)
+			p.dropPending(i)
 			continue
 		}
-		if resolve(e, theta) {
+		if p.resolve(&nl, stamp, i, theta) {
 			continue
 		}
-		sign, blocked := classify(e, theta)
+		sign, blocked := p.classify(stamp, p.it.Edges[i])
 		if blocked {
-			mustMaterialize = append(mustMaterialize, e)
+			p.must = append(p.must, i)
 			continue
 		}
 		if sign < 0 {
-			p.comp2q[e] = -theta
+			p.comp[i] = -theta
 			p.stats.SignFlips++
 		}
 	}
-	p.materializePending(mustMaterialize)
+	p.materializePending(p.must)
 	// The correction layers just inserted idle the rest of the device for a
 	// short window and may have produced new (small) pending terms that also
 	// sit before this gate layer. Give them the same treatment, but drop
 	// blocked ones instead of recursing into further correction layers.
-	for e, theta := range p.comp2q {
-		if processed[e] {
+	for i := range p.it.Edges {
+		if !p.pending[i] || p.seen[i] {
 			continue
 		}
+		theta := p.comp[i]
 		if math.Abs(theta) < p.opts.MinAngle {
-			delete(p.comp2q, e)
+			p.dropPending(i)
 			continue
 		}
-		if resolve(e, theta) {
+		if p.resolve(&nl, stamp, i, theta) {
 			continue
 		}
-		sign, blocked := classify(e, theta)
+		sign, blocked := p.classify(stamp, p.it.Edges[i])
 		if blocked {
 			p.stats.Dropped++
 			p.stats.DroppedAngles += math.Abs(theta)
-			delete(p.comp2q, e)
+			p.dropPending(i)
 			continue
 		}
 		if sign < 0 {
-			p.comp2q[e] = -theta
+			p.comp[i] = -theta
 			p.stats.SignFlips++
 		}
 	}
 
 	p.out.Layers = append(p.out.Layers, nl)
 	p.emitLayerErrors(l)
-	p.emitZCorrections(afterZ)
+	for _, z := range p.afterZ {
+		p.addZ(z.q, z.errAngle)
+	}
+	p.flushZ()
 	return nil
+}
+
+// classify decides what happens to a pending Rzz on edge e as it meets the
+// gate layer marked with stamp: carried through (sign-conjugated by the
+// ideal gates: ECR flips Z on its control, CX/RZZ preserve it); or blocked
+// (gate targets and Ucan operands turn ZZ into non-diagonal operators) and
+// hence materialized before the layer.
+func (p *pass) classify(stamp int32, e device.Edge) (carrySign float64, blocked bool) {
+	carrySign = 1
+	for _, q := range [2]int{e.A, e.B} {
+		r := p.roles[q]
+		if r.stamp != stamp {
+			continue
+		}
+		switch {
+		case r.kind == gates.RZZ:
+			// diagonal: commutes on either operand
+		case r.kind == gates.Ucan:
+			blocked = true
+		case r.first: // control of ECR/CX/ZX/SWAP
+			switch r.kind {
+			case gates.ECR:
+				carrySign = -carrySign // ECR Z_c ECR^dag = -Z_c
+			case gates.CX:
+				// CX preserves Z on its control
+			default:
+				blocked = true
+			}
+		default: // target of ECR/CX/...: Z_t maps to a non-local Pauli
+			blocked = true
+		}
+	}
+	return carrySign, blocked
+}
+
+// resolve absorbs a pending Rzz on edge i into the gate of nl on the same
+// edge when that gate can take it for free.
+func (p *pass) resolve(nl *circuit.Layer, stamp int32, i int, theta float64) (done bool) {
+	if p.gateMark[i] != stamp {
+		return false
+	}
+	in := &nl.Instrs[p.gateAt[i]]
+	switch in.Gate {
+	case gates.Ucan:
+		_, _, g := gates.AbsorbRzzIntoUcan(in.Params[0], in.Params[1], in.Params[2], theta)
+		in.Params[2] = g
+		p.stats.AbsorbedUcan++
+	case gates.RZZ:
+		in.Params[0] = gates.AbsorbRzzIntoRzz(in.Params[0], theta)
+		p.stats.AbsorbedUcan++
+	case gates.CX:
+		// CX . Rzz(theta) = (I x Rz(theta)) . CX: the pending ZZ becomes a
+		// free virtual Rz on the target after the gate.
+		p.afterZ = append(p.afterZ, zCorr{q: in.Qubits[1], errAngle: theta})
+		p.stats.AbsorbedCX++
+	default:
+		return false
+	}
+	p.dropPending(i)
+	return true
 }
 
 type zCorr struct {
@@ -297,63 +385,69 @@ type zCorr struct {
 
 // emitLayerErrors computes the surviving coherent error of the layer via
 // the toggling integrals, immediately compensates the Z part with a virtual
-// Rz layer, and adds the ZZ part to the pending dictionary.
+// Rz layer, and adds the ZZ part to the pending dictionary. Edges touching
+// a collapsed (measured) qubit are handled once, by the
+// measurement-conditioned corrections, and are excluded here.
 func (p *pass) emitLayerErrors(l *circuit.Layer) {
 	if l.Duration <= 0 {
 		return
 	}
-	m := toggling.BuildLayerModel(l, p.dev)
-	// Edges touching a collapsed (measured) qubit are handled once, by the
-	// measurement-conditioned corrections; exclude them here.
-	res := toggling.IntegrateFiltered(m, p.dev, p.opts.IncludeStark, func(e device.Edge) bool {
-		return p.isCollapsed(e.A) || p.isCollapsed(e.B)
-	})
-	var zs []zCorr
-	for q, phi := range res.PhiZ {
-		if p.isCollapsed(q) {
+	p.it.Layer(l, p.opts.IncludeStark, p.collapsed)
+	for q, phi := range p.it.PhiZ {
+		if math.Abs(phi) < toggling.Floor || p.isCollapsed(q) {
 			continue
 		}
-		zs = append(zs, zCorr{q: q, errAngle: phi})
+		p.addZ(q, phi)
 	}
-	p.emitZCorrections(zs)
-	for e, phi := range res.PhiZZ {
-		if p.isCollapsed(e.A) || p.isCollapsed(e.B) {
+	p.flushZ()
+	for i, phi := range p.it.PhiZZ {
+		if math.Abs(phi) < toggling.Floor {
 			continue
 		}
-		p.comp2q[e] += phi
+		p.addPending(i, phi)
 	}
 }
 
-// emitZCorrections appends a zero-duration virtual-Rz layer undoing the
-// given error angles, merging entries that target the same qubit.
-func (p *pass) emitZCorrections(zs []zCorr) {
-	byQubit := map[int]float64{}
-	var order []int
-	for _, z := range zs {
-		if _, seen := byQubit[z.q]; !seen {
-			order = append(order, z.q)
-		}
-		byQubit[z.q] += z.errAngle
+// addZ adds an error angle to qubit q's next virtual-Rz correction.
+func (p *pass) addZ(q int, errAngle float64) {
+	if !p.zHas[q] {
+		p.zHas[q] = true
+		p.zQs = append(p.zQs, q)
 	}
-	sortInts(order)
+	p.zAcc[q] += errAngle
+}
+
+// flushZ appends a zero-duration virtual-Rz layer undoing the error angles
+// added since the last flush, one correction per qubit in ascending order.
+func (p *pass) flushZ() {
+	sortInts(p.zQs)
 	var corr *circuit.Layer
-	for _, q := range order {
-		angle := byQubit[q]
+	var qs []int
+	var ps []float64
+	for _, q := range p.zQs {
+		angle := p.zAcc[q]
+		p.zAcc[q], p.zHas[q] = 0, false
 		if math.Abs(angle) < p.opts.MinAngle {
 			continue
 		}
 		if corr == nil {
-			p.out.Layers = append(p.out.Layers, circuit.Layer{Kind: circuit.OneQubitLayer})
+			n := len(p.zQs)
+			p.out.Layers = append(p.out.Layers, circuit.Layer{Kind: circuit.OneQubitLayer, Instrs: make([]circuit.Instruction, 0, n)})
 			corr = &p.out.Layers[len(p.out.Layers)-1]
+			qs, ps = make([]int, 0, n), make([]float64, 0, n)
 		}
-		corr.Add(circuit.Instruction{
+		// Each qubit is corrected once, so the layer stays disjoint.
+		k := len(qs)
+		qs, ps = append(qs, q), append(ps, -angle)
+		corr.Instrs = append(corr.Instrs, circuit.Instruction{
 			Gate:   gates.RZ,
-			Qubits: []int{q},
-			Params: []float64{-angle},
+			Qubits: qs[k : k+1 : k+1],
+			Params: ps[k : k+1 : k+1],
 			Tag:    "ec",
 		})
 		p.stats.VirtualRZ++
 	}
+	p.zQs = p.zQs[:0]
 }
 
 func sortInts(xs []int) {
@@ -364,53 +458,49 @@ func sortInts(xs []int) {
 	}
 }
 
-// materializeAll flushes every pending ZZ compensation as explicit gates.
-func (p *pass) materializeAll() {
-	var edges []device.Edge
-	for e := range p.comp2q {
-		edges = append(edges, e)
-	}
-	p.materializePending(edges)
-}
-
 // materializePending inserts pulse-stretched native RZZ corrections for the
-// listed edges, packing disjoint edges into shared layers.
-func (p *pass) materializePending(edges []device.Edge) {
-	var work []device.Edge
-	for _, e := range edges {
-		theta := p.comp2q[e]
+// listed edges, packing disjoint edges into shared layers. edges may alias
+// p.must; it is consumed before any layer is emitted.
+func (p *pass) materializePending(edges []int) {
+	work := p.work[:0]
+	for _, i := range edges {
+		theta := p.comp[i]
 		if math.Abs(theta) < p.opts.MinAngle {
-			delete(p.comp2q, e)
+			p.dropPending(i)
 			continue
 		}
 		if p.opts.AbsorbOnly || math.Abs(theta) < p.opts.MaterializeMin {
 			p.stats.Dropped++
 			p.stats.DroppedAngles += math.Abs(theta)
-			delete(p.comp2q, e)
+			p.dropPending(i)
 			continue
 		}
-		work = append(work, e)
+		work = append(work, i)
 	}
 	// Greedy pack into layers of disjoint edges, deterministically ordered.
 	for len(work) > 0 {
-		layer := circuit.Layer{Kind: circuit.TwoQubitLayer}
-		used := map[int]bool{}
-		var rest []device.Edge
-		sortEdges(work)
-		for _, e := range work {
-			if used[e.A] || used[e.B] {
-				rest = append(rest, e)
+		p.sortEdges(work)
+		used := p.nextStamp()
+		layer := circuit.Layer{Kind: circuit.TwoQubitLayer, Instrs: make([]circuit.Instruction, 0, len(work))}
+		qs, ps := make([]int, 0, 2*len(work)), make([]float64, 0, len(work))
+		rest := work[:0]
+		for _, i := range work {
+			e := p.it.Edges[i]
+			if p.mark[e.A] == used || p.mark[e.B] == used {
+				rest = append(rest, i)
 				continue
 			}
-			used[e.A], used[e.B] = true, true
-			layer.Add(circuit.Instruction{
+			p.mark[e.A], p.mark[e.B] = used, used
+			k := len(ps)
+			qs, ps = append(qs, e.A, e.B), append(ps, -p.comp[i])
+			layer.Instrs = append(layer.Instrs, circuit.Instruction{
 				Gate:   gates.RZZ,
-				Qubits: []int{e.A, e.B},
-				Params: []float64{-p.comp2q[e]},
+				Qubits: qs[2*k : 2*k+2 : 2*k+2],
+				Params: ps[k : k+1 : k+1],
 				Tag:    "ec",
 			})
 			p.stats.InsertedRZZ++
-			delete(p.comp2q, e)
+			p.dropPending(i)
 		}
 		// The correction layer has nonzero duration itself, so the rest of
 		// the device idles (and accumulates error) while it runs; account
@@ -420,16 +510,19 @@ func (p *pass) materializePending(edges []device.Edge) {
 		p.emitLayerErrors(&p.out.Layers[len(p.out.Layers)-1])
 		work = rest
 	}
+	p.work = work
 }
 
-func sortEdges(es []device.Edge) {
+// sortEdges orders edge indices by (A, B).
+func (p *pass) sortEdges(es []int) {
+	edges := p.it.Edges
 	for i := 1; i < len(es); i++ {
 		for j := i; j > 0; j-- {
-			a, b := es[j-1], es[j]
+			a, b := edges[es[j-1]], edges[es[j]]
 			if a.A < b.A || (a.A == b.A && a.B <= b.B) {
 				break
 			}
-			es[j-1], es[j] = b, a
+			es[j-1], es[j] = es[j], es[j-1]
 		}
 	}
 }
@@ -446,13 +539,13 @@ func (p *pass) processMeasureLayer(l *circuit.Layer) error {
 			measured[in.Qubits[0]] = in.CBit
 		}
 	}
-	var toMat []device.Edge
-	for e, v := range p.comp2q {
-		if v != 0 && (hasKey(measured, e.A) || hasKey(measured, e.B)) {
-			toMat = append(toMat, e)
+	p.must = p.must[:0]
+	for i, e := range p.it.Edges {
+		if p.pending[i] && p.comp[i] != 0 && (hasKey(measured, e.A) || hasKey(measured, e.B)) {
+			p.must = append(p.must, i)
 		}
 	}
-	p.materializePending(toMat)
+	p.materializePending(p.must)
 	p.out.Layers = append(p.out.Layers, l.Clone())
 
 	ff := p.opts.FFTime
@@ -460,14 +553,9 @@ func (p *pass) processMeasureLayer(l *circuit.Layer) error {
 		ff = p.dev.DurFF
 	}
 	tau := l.Duration + ff // measurement + feed-forward idle window
-	const nsToS = 1e-9
 	var condLayer *circuit.Layer
-	var zs []zCorr
-	for _, e := range p.dev.AllCrosstalkEdges() {
-		w := 2 * math.Pi * p.dev.ZZ[e] * nsToS
-		if w == 0 {
-			continue
-		}
+	for i, e := range p.it.Edges {
+		w := p.it.W[i]
 		ma, aOK := measured[e.A]
 		mb, bOK := measured[e.B]
 		switch {
@@ -507,13 +595,14 @@ func (p *pass) processMeasureLayer(l *circuit.Layer) error {
 			// Both idle and unmeasured: the usual U11 accumulation over the
 			// measurement window (the feed-forward window is accounted by
 			// the following conditional layer's own toggling pass).
-			p.comp2q[e] += w * l.Duration
-			zs = append(zs, zCorr{q: e.A, errAngle: -w * l.Duration}, zCorr{q: e.B, errAngle: -w * l.Duration})
+			p.addPending(i, w*l.Duration)
+			p.addZ(e.A, -w*l.Duration)
+			p.addZ(e.B, -w*l.Duration)
 		}
 	}
-	p.emitZCorrections(zs)
+	p.flushZ()
 	if p.collapsed == nil {
-		p.collapsed = map[int]bool{}
+		p.collapsed = make([]bool, len(p.zAcc))
 	}
 	for q := range measured {
 		p.collapsed[q] = true

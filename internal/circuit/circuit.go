@@ -82,14 +82,51 @@ type Layer struct {
 	Start    float64 // ns, set by the scheduler
 }
 
-// Clone deep-copies the layer.
+// Clone deep-copies the layer. It allocates per layer, not per
+// instruction: every Qubits and Params slice is carved from one slab
+// (capacity-capped, so an append to one instruction's slice never reaches
+// its neighbor), and empty slices clone to nil, as Instruction.Clone does.
 func (l Layer) Clone() Layer {
+	nq, np := slabLens(l.Instrs)
 	out := l
 	out.Instrs = make([]Instruction, len(l.Instrs))
-	for i, in := range l.Instrs {
-		out.Instrs[i] = in.Clone()
-	}
+	cloneInstrs(out.Instrs, l.Instrs, make([]int, nq), make([]float64, np))
 	return out
+}
+
+// slabLens returns the total Qubits and Params lengths of ins.
+func slabLens(ins []Instruction) (nq, np int) {
+	for i := range ins {
+		nq += len(ins[i].Qubits)
+		np += len(ins[i].Params)
+	}
+	return nq, np
+}
+
+// cloneInstrs deep-copies src into dst, carving Qubits and Params from the
+// slabs, and returns the unused rest of each slab.
+func cloneInstrs(dst, src []Instruction, qs []int, ps []float64) ([]int, []float64) {
+	for i := range src {
+		in, o := &src[i], &dst[i]
+		*o = *in
+		o.Qubits, qs = carve(qs, in.Qubits)
+		o.Params, ps = carve(ps, in.Params)
+		if in.Cond != nil {
+			c := *in.Cond
+			o.Cond = &c
+		}
+	}
+	return qs, ps
+}
+
+// carve copies src into the front of slab and returns that capped copy (nil
+// for an empty src) and the rest of slab.
+func carve[T any](slab, src []T) (out, rest []T) {
+	if len(src) == 0 {
+		return nil, slab
+	}
+	n := copy(slab, src)
+	return slab[:n:n], slab[n:]
 }
 
 // Add appends an instruction after validating qubit disjointness and kind
@@ -226,12 +263,24 @@ func New(nQubits, nCBits int) *Circuit {
 	return &Circuit{NQubits: nQubits, NCBits: nCBits}
 }
 
-// Clone deep-copies the circuit.
+// Clone deep-copies the circuit. Like Layer.Clone it carves from slabs,
+// here one each for the instructions, qubits and params of all layers.
 func (c *Circuit) Clone() *Circuit {
 	out := &Circuit{NQubits: c.NQubits, NCBits: c.NCBits}
 	out.Layers = make([]Layer, len(c.Layers))
-	for i, l := range c.Layers {
-		out.Layers[i] = l.Clone()
+	ni, nq, np := 0, 0, 0
+	for i := range c.Layers {
+		q, p := slabLens(c.Layers[i].Instrs)
+		ni, nq, np = ni+len(c.Layers[i].Instrs), nq+q, np+p
+	}
+	ins, qs, ps := make([]Instruction, ni), make([]int, nq), make([]float64, np)
+	for i := range c.Layers {
+		l := &c.Layers[i]
+		n := len(l.Instrs)
+		out.Layers[i] = *l
+		out.Layers[i].Instrs = ins[:n:n]
+		qs, ps = cloneInstrs(ins[:n], l.Instrs, qs, ps)
+		ins = ins[n:]
 	}
 	return out
 }

@@ -100,16 +100,24 @@ func Insert(c *circuit.Circuit, dev *device.Device, opts Options) (Report, error
 		}
 	}
 
-	rep := Report{}
+	s := newInserter(c, g, opts.Strategy, len(palette))
+	rep := Report{Windows: make([]WindowReport, 0, len(windows))}
 	for _, w := range windows {
-		colors, err := colorWindow(c, dev, g, w, opts)
-		if err != nil {
+		if err := s.colorWindow(w); err != nil {
 			return rep, err
 		}
-		wr := WindowReport{Window: w, Colors: colors, Rows: map[int]int{}}
+		// The report's maps are fresh per window: nothing returned aliases
+		// the inserter's scratch.
+		wr := WindowReport{Window: w, Colors: make(map[int]int, len(w.Qubits)), Rows: make(map[int]int, len(w.Qubits))}
+		clear(s.times)
+		s.tbuf = s.tbuf[:0]
 		for _, q := range w.Qubits {
-			col, ok := colors[q]
-			if !ok || col <= 0 {
+			if s.rotary[q] == s.stamp {
+				continue
+			}
+			col := s.colors[q]
+			wr.Colors[q] = col
+			if col <= 0 {
 				continue
 			}
 			if col >= len(palette) {
@@ -117,9 +125,14 @@ func Insert(c *circuit.Circuit, dev *device.Device, opts Options) (Report, error
 			}
 			row := palette[col]
 			wr.Rows[q] = row
-			times := walsh.PulseTimes(row, w.Duration(), nb)
-			for _, t := range times {
-				if err := insertPulse(c, q, w.Start+t); err != nil {
+			// Every qubit of one color shares the window's pulse times.
+			if s.times[col] == nil {
+				k := len(s.tbuf)
+				s.tbuf = walsh.AppendPulseTimes(s.tbuf, row, w.Duration(), nb)
+				s.times[col] = s.tbuf[k:]
+			}
+			for _, t := range s.times[col] {
+				if err := s.insertPulse(q, w.Start+t); err != nil {
 					return rep, err
 				}
 				wr.Pulses++
@@ -131,81 +144,87 @@ func Insert(c *circuit.Circuit, dev *device.Device, opts Options) (Report, error
 	return rep, nil
 }
 
-// colorWindow assigns a palette color to every window qubit.
-func colorWindow(c *circuit.Circuit, dev *device.Device, g *qgraph.Graph, w sched.Window, opts Options) (map[int]int, error) {
-	colors := map[int]int{}
-	switch opts.Strategy {
+// inserter is the scratch of one Insert call, indexed by qubit and reused
+// window after window.
+type inserter struct {
+	c        *circuit.Circuit
+	g        *qgraph.Graph
+	strategy Strategy
+	colors   qgraph.Coloring // this window's coloring
+	rotary   []int32         // rotary[q] == stamp: q is a rotary target this window
+	stamp    int32
+	forbid   []uint64    // color 0 barred for every colored (idle) qubit
+	times    [][]float64 // per color: this window's pulse times, in tbuf
+	tbuf     []float64
+	qslab    []int // backing store of the inserted pulses' Qubits
+}
+
+func newInserter(c *circuit.Circuit, g *qgraph.Graph, strategy Strategy, colors int) *inserter {
+	n := max(c.NQubits, g.N)
+	s := &inserter{
+		c:        c,
+		g:        g,
+		strategy: strategy,
+		colors:   qgraph.NewColoring(n),
+		rotary:   make([]int32, n),
+		forbid:   make([]uint64, n),
+		times:    make([][]float64, colors),
+	}
+	for q := range s.forbid {
+		s.forbid[q] = 1
+	}
+	return s
+}
+
+// colorWindow assigns a palette color to every window qubit into s.colors;
+// the window's rotary targets are those with s.rotary[q] == s.stamp and
+// get no color.
+func (s *inserter) colorWindow(w sched.Window) error {
+	s.stamp++
+	switch s.strategy {
 	case Aligned:
 		for _, q := range w.Qubits {
-			colors[q] = 1
+			s.colors[q] = 1
 		}
-		return colors, nil
+		return nil
 	case Staggered:
 		for _, q := range w.Qubits {
-			colors[q] = 1 + q%2
+			s.colors[q] = 1 + q%2
 		}
-		return colors, nil
+		return nil
 	}
-	// Context-aware: pin concurrent ECR controls to the echo color (1) and
-	// leave rotary targets unconstrained, exactly as Algorithm 1's
-	// ColorGraph seeds the greedy coloring.
-	fixed := qgraph.Coloring{}
-	rotary := map[int]bool{}
-	for _, gate := range concurrentGates(c, w) {
-		fixed[gate.Qubits[0]] = 1
-		rotary[gate.Qubits[1]] = true
-	}
-	forbidden := map[int][]int{}
-	for _, q := range w.Qubits {
-		// Idle qubits need Z suppression: color 0 (no pulses) is reserved
-		// for rotary-protected qubits only ("blue" in the paper).
-		forbidden[q] = []int{0}
-	}
-	order := qgraph.DegreeOrder(g, w.Qubits)
-	coloring := qgraph.GreedyColor(g, order, fixed, forbidden)
-	for _, q := range w.Qubits {
-		if rotary[q] {
+	// Context-aware: pin the ECR controls of layers overlapping the window
+	// to the echo color (1) and leave rotary targets unconstrained, exactly
+	// as Algorithm 1's ColorGraph seeds the greedy coloring.
+	s.colors.Reset()
+	for li := range s.c.Layers {
+		l := &s.c.Layers[li]
+		if l.Start >= w.End || l.Start+l.Duration <= w.Start {
 			continue
 		}
-		colors[q] = coloring[q]
+		for i := range l.Instrs {
+			if in := &l.Instrs[i]; gates.NumQubits(in.Gate) == 2 {
+				s.colors[in.Qubits[0]] = 1
+				s.rotary[in.Qubits[1]] = s.stamp
+			}
+		}
 	}
+	// Idle qubits need Z suppression: color 0 (no pulses) is reserved for
+	// rotary-protected qubits only ("blue" in the paper).
+	qgraph.GreedyColor(s.g, qgraph.DegreeOrder(s.g, w.Qubits), s.colors, s.forbid)
 	// Validate only constraints the pass controls: every idle window qubit
 	// must differ from all its colored neighbors. Two adjacent *gate
 	// controls* share the echo color by physical necessity — that is
 	// case IV, which DD cannot fix (the pass leaves it for CA-EC).
 	for _, q := range w.Qubits {
-		if rotary[q] {
+		if s.rotary[q] == s.stamp {
 			continue
 		}
-		cq, ok := coloring[q]
-		if !ok {
-			continue
-		}
-		for _, nb := range g.Neighbors(q) {
-			if cn, ok := coloring[nb]; ok && cn == cq {
-				return nil, fmt.Errorf("dd: idle qubit %d shares color %d with neighbor %d", q, cq, nb)
-			}
+		if nb := s.colors.Conflict(s.g, q); nb >= 0 {
+			return fmt.Errorf("dd: idle qubit %d shares color %d with neighbor %d", q, s.colors[q], nb)
 		}
 	}
-	return colors, nil
-}
-
-// concurrentGates returns the two-qubit gates whose layers overlap the
-// window in time.
-func concurrentGates(c *circuit.Circuit, w sched.Window) []circuit.Instruction {
-	var out []circuit.Instruction
-	for li := range c.Layers {
-		l := &c.Layers[li]
-		if l.Start >= w.End || l.Start+l.Duration <= w.Start {
-			continue
-		}
-		for i := range l.Instrs {
-			if gates.NumQubits(l.Instrs[i].Gate) == 2 {
-				out = append(out, l.Instrs[i])
-			}
-		}
-	}
-	return out
+	return nil
 }
 
 // splitAtGateLayers cuts every window at the boundaries of layers that
@@ -221,26 +240,21 @@ func splitAtGateLayers(c *circuit.Circuit, windows []sched.Window, minDur float6
 		}
 	}
 	sort.Float64s(cuts)
-	var out []sched.Window
+	out := make([]sched.Window, 0, len(windows))
 	for _, w := range windows {
-		pieces := []sched.Window{w}
+		// The cuts ascend, so each one inside the window ends the piece
+		// begun at the previous cut.
+		start := w.Start
 		for _, cut := range cuts {
-			var next []sched.Window
-			for _, p := range pieces {
-				if cut > p.Start && cut < p.End {
-					next = append(next,
-						sched.Window{Qubits: p.Qubits, Start: p.Start, End: cut},
-						sched.Window{Qubits: p.Qubits, Start: cut, End: p.End})
-				} else {
-					next = append(next, p)
+			if cut > start && cut < w.End {
+				if cut-start >= minDur {
+					out = append(out, sched.Window{Qubits: w.Qubits, Start: start, End: cut})
 				}
+				start = cut
 			}
-			pieces = next
 		}
-		for _, p := range pieces {
-			if p.Duration() >= minDur {
-				out = append(out, p)
-			}
+		if w.End-start >= minDur {
+			out = append(out, sched.Window{Qubits: w.Qubits, Start: start, End: w.End})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -255,7 +269,8 @@ func splitAtGateLayers(c *circuit.Circuit, windows []sched.Window, minDur float6
 // insertPulse adds an XDD instruction on qubit q at absolute time t,
 // locating the layer containing t (boundary pulses go to the earlier
 // layer).
-func insertPulse(c *circuit.Circuit, q int, t float64) error {
+func (s *inserter) insertPulse(q int, t float64) error {
+	c := s.c
 	li := -1
 	for i := range c.Layers {
 		l := &c.Layers[i]
@@ -275,9 +290,11 @@ func insertPulse(c *circuit.Circuit, q int, t float64) error {
 		return fmt.Errorf("dd: no layer contains pulse time %.1f", t)
 	}
 	l := &c.Layers[li]
+	k := len(s.qslab)
+	s.qslab = append(s.qslab, q)
 	l.Add(circuit.Instruction{
 		Gate:   gates.XDD,
-		Qubits: []int{q},
+		Qubits: s.qslab[k : k+1 : k+1],
 		Tag:    "dd",
 		Time:   t - l.Start,
 	})

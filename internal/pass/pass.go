@@ -111,12 +111,7 @@ func (p twirlPass) Name() string {
 }
 
 func (p twirlPass) Apply(ctx *Context, c *circuit.Circuit) error {
-	out, err := twirl.Instance(c, p.scope, ctx.Rng)
-	if err != nil {
-		return err
-	}
-	*c = *out
-	return nil
+	return twirl.Apply(c, p.scope, ctx.Rng)
 }
 
 // schedPass assigns start times and durations to every layer.

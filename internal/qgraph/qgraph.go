@@ -7,6 +7,8 @@ package qgraph
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -190,50 +192,89 @@ func (g *Graph) AllDistances() [][]int {
 	return out
 }
 
-// Coloring maps node -> color index (>= 0); nodes absent from the map are
-// uncolored.
-type Coloring map[int]int
+// Coloring assigns a color index (>= 0) to each node by index; Uncolored
+// marks a node without a color.
+type Coloring []int
 
-// GreedyColor colors the nodes in `order` subject to: (a) pre-assigned
-// colors in `fixed` must be respected and are never changed; (b) adjacent
-// nodes (in g) never share a color; (c) colors listed in forbidden[node]
-// must not be used for that node. It prefers the smallest admissible color
-// (minimizing the Walsh hierarchy level, per the paper's heuristic) and
-// returns the resulting coloring over order plus all fixed nodes.
-func GreedyColor(g *Graph, order []int, fixed Coloring, forbidden map[int][]int) Coloring {
-	c := Coloring{}
-	for n, col := range fixed {
-		c[n] = col
+// Uncolored marks a node without a color in a Coloring.
+const Uncolored = -1
+
+// NewColoring returns a coloring of n nodes, all uncolored.
+func NewColoring(n int) Coloring {
+	c := make(Coloring, n)
+	c.Reset()
+	return c
+}
+
+// Reset uncolors every node.
+func (c Coloring) Reset() {
+	for i := range c {
+		c[i] = Uncolored
 	}
+}
+
+// GreedyColor colors the nodes in `order`, in place in c, subject to: (a)
+// nodes c already colors (pre-assigned colors) keep their color; (b)
+// adjacent nodes (in g) never share a color; (c) bit k of forbid[node] bars
+// color k from that node (forbid may be nil; colors >= 64 cannot be
+// barred). It picks the smallest admissible color (minimizing the Walsh
+// hierarchy level, per the paper's heuristic). c must cover every node of
+// g.
+func GreedyColor(g *Graph, order []int, c Coloring, forbid []uint64) {
 	for _, n := range order {
-		if _, done := c[n]; done {
+		if c[n] >= 0 {
 			continue
 		}
-		used := map[int]bool{}
+		var used uint64
+		if forbid != nil {
+			used = forbid[n]
+		}
 		for b := range g.adj[n] {
-			if col, ok := c[b]; ok {
-				used[col] = true
+			if col := c[b]; col >= 0 && col < 64 {
+				used |= 1 << col
 			}
 		}
-		for _, col := range forbidden[n] {
-			used[col] = true
-		}
-		col := 0
-		for used[col] {
-			col++
+		col := bits.TrailingZeros64(^used)
+		if col == 64 {
+			// Colors 0..63 are all taken around n: probe upward.
+			for c.neighborHas(g, n, col) {
+				col++
+			}
 		}
 		c[n] = col
 	}
-	return c
+}
+
+// neighborHas reports whether a neighbor of n has color col.
+func (c Coloring) neighborHas(g *Graph, n, col int) bool {
+	for b := range g.adj[n] {
+		if c[b] == col {
+			return true
+		}
+	}
+	return false
+}
+
+// Conflict returns the smallest neighbor of n that shares n's color, or -1
+// when n is uncolored or no neighbor shares its color.
+func (c Coloring) Conflict(g *Graph, n int) int {
+	col, bad := c[n], -1
+	if col < 0 {
+		return -1
+	}
+	for b := range g.adj[n] {
+		if c[b] == col && (bad < 0 || b < bad) {
+			bad = b
+		}
+	}
+	return bad
 }
 
 // ValidateColoring checks that no edge of g connects same-colored nodes
 // among the colored nodes, returning the first violating edge if any.
 func ValidateColoring(g *Graph, c Coloring) (ok bool, bad [2]int) {
 	for _, e := range g.Edges() {
-		ca, aok := c[e[0]]
-		cb, bok := c[e[1]]
-		if aok && bok && ca == cb {
+		if ca := c[e[0]]; ca >= 0 && ca == c[e[1]] {
 			return false, e
 		}
 	}
@@ -256,12 +297,11 @@ func (c Coloring) MaxColor() int {
 // coloring heuristic), restricted to the provided subset.
 func DegreeOrder(g *Graph, subset []int) []int {
 	out := append([]int(nil), subset...)
-	sort.Slice(out, func(i, j int) bool {
-		di, dj := g.Degree(out[i]), g.Degree(out[j])
-		if di != dj {
-			return di > dj
+	slices.SortFunc(out, func(a, b int) int {
+		if da, db := g.Degree(a), g.Degree(b); da != db {
+			return db - da
 		}
-		return out[i] < out[j]
+		return a - b
 	})
 	return out
 }

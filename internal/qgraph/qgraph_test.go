@@ -78,9 +78,10 @@ func TestSubgraph(t *testing.T) {
 
 func TestGreedyColorRespectsConstraints(t *testing.T) {
 	g := line(6)
-	fixed := Coloring{2: 1} // pin node 2 to color 1
-	forbidden := map[int][]int{0: {0}, 1: {0}, 3: {0}, 4: {0}, 5: {0}}
-	c := GreedyColor(g, []int{0, 1, 3, 4, 5}, fixed, forbidden)
+	c := NewColoring(6)
+	c[2] = 1                             // pin node 2 to color 1
+	forbid := []uint64{1, 1, 0, 1, 1, 1} // color 0 barred everywhere but node 2
+	GreedyColor(g, []int{0, 1, 3, 4, 5}, c, forbid)
 	if c[2] != 1 {
 		t.Error("fixed color changed")
 	}
@@ -113,7 +114,8 @@ func TestGreedyColorProperty(t *testing.T) {
 		for i := range order {
 			order[i] = i
 		}
-		c := GreedyColor(g, order, nil, nil)
+		c := NewColoring(n)
+		GreedyColor(g, order, c, nil)
 		if ok, _ := ValidateColoring(g, c); !ok {
 			return false
 		}
@@ -130,6 +132,57 @@ func TestGreedyColorProperty(t *testing.T) {
 	}
 }
 
+// TestGreedyColorSmallestAdmissible checks the greedy choice against a
+// direct search for the smallest color no neighbor holds and forbid does
+// not bar, including past the 64 colors a mask word covers: on a complete
+// graph every node needs its own color.
+func TestGreedyColorSmallestAdmissible(t *testing.T) {
+	for _, n := range []int{5, 64, 65, 130} {
+		g := New(n)
+		for a := 0; a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				g.AddEdge(a, b)
+			}
+		}
+		c := NewColoring(n)
+		c[n-1] = 70 // pinned above the mask word
+		forbid := make([]uint64, n)
+		forbid[3] = 1<<4 | 1<<5
+		order := make([]int, n)
+		for i := range order {
+			order[i] = i
+		}
+		want := NewColoring(n)
+		want[n-1] = 70
+		for _, v := range order {
+			if want[v] >= 0 {
+				continue
+			}
+			col := 0
+			for {
+				free := col >= 64 || forbid[v]&(1<<col) == 0
+				for b := 0; b < n && free; b++ {
+					free = b == v || want[b] != col
+				}
+				if free {
+					break
+				}
+				col++
+			}
+			want[v] = col
+		}
+		GreedyColor(g, order, c, forbid)
+		for v := range c {
+			if c[v] != want[v] {
+				t.Fatalf("K%d: node %d got color %d, smallest admissible is %d", n, v, c[v], want[v])
+			}
+		}
+		if ok, bad := ValidateColoring(g, c); !ok {
+			t.Fatalf("K%d: invalid coloring at %v", n, bad)
+		}
+	}
+}
+
 func TestDegreeOrder(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1)
@@ -143,7 +196,7 @@ func TestDegreeOrder(t *testing.T) {
 
 func TestValidateColoringDetectsConflict(t *testing.T) {
 	g := line(3)
-	bad := Coloring{0: 1, 1: 1}
+	bad := Coloring{1, 1, Uncolored}
 	if ok, edge := ValidateColoring(g, bad); ok || edge != [2]int{0, 1} {
 		t.Error("conflict not detected")
 	}

@@ -68,9 +68,12 @@ func TestEagleGreedyColoringValid(t *testing.T) {
 	if len(order) != dev.NQubits {
 		t.Fatalf("degree order lost nodes: %d", len(order))
 	}
-	c := qgraph.GreedyColor(xt, order, nil, nil)
-	if len(c) != dev.NQubits {
-		t.Fatalf("coloring covers %d nodes, want %d", len(c), dev.NQubits)
+	c := qgraph.NewColoring(dev.NQubits)
+	qgraph.GreedyColor(xt, order, c, nil)
+	for q, col := range c {
+		if col == qgraph.Uncolored {
+			t.Fatalf("coloring left node %d uncolored", q)
+		}
 	}
 	if ok, bad := qgraph.ValidateColoring(xt, c); !ok {
 		t.Fatalf("invalid coloring at edge %v", bad)
@@ -83,9 +86,16 @@ func TestEagleGreedyColoringValid(t *testing.T) {
 
 	// Constrained variant: pre-assigned colors on the first plaquette and
 	// forbidden colors on its neighbors must be honored at scale.
-	fixed := qgraph.Coloring{0: 2, 1: 3}
+	c2 := qgraph.NewColoring(dev.NQubits)
+	c2[0], c2[1] = 2, 3
 	forbidden := map[int][]int{2: {0}, 14: {0, 1}}
-	c2 := qgraph.GreedyColor(xt, order, fixed, forbidden)
+	forbid := make([]uint64, dev.NQubits)
+	for n, cols := range forbidden {
+		for _, col := range cols {
+			forbid[n] |= 1 << col
+		}
+	}
+	qgraph.GreedyColor(xt, order, c2, forbid)
 	if c2[0] != 2 || c2[1] != 3 {
 		t.Error("fixed colors overridden")
 	}

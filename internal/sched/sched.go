@@ -7,6 +7,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"casq/internal/circuit"
@@ -129,11 +130,23 @@ func IdleRuns(c *circuit.Circuit, minDur float64) []IdleRun {
 		}
 		st[q].open = false
 	}
+	// active[q] == li+1 marks qubit q active in layer li: one slice serves
+	// every layer without clearing.
+	active := make([]int32, c.NQubits)
 	for li := range c.Layers {
 		l := &c.Layers[li]
-		active := l.ActiveQubits()
+		stamp := int32(li + 1)
+		for i := range l.Instrs {
+			if in := &l.Instrs[i]; in.Gate != gates.Delay {
+				for _, q := range in.Qubits {
+					if q >= 0 && q < c.NQubits {
+						active[q] = stamp
+					}
+				}
+			}
+		}
 		for q := 0; q < c.NQubits; q++ {
-			if active[q] {
+			if active[q] == stamp {
 				closeRun(q, l.Start)
 				continue
 			}
@@ -195,68 +208,94 @@ func groupRuns(runs []IdleRun, g *qgraph.Graph) [][]IdleRun {
 			}
 		}
 	}
-	byRoot := map[int][]IdleRun{}
-	var roots []int
-	for i, r := range runs {
-		root := find(i)
-		if _, ok := byRoot[root]; !ok {
-			roots = append(roots, root)
-		}
-		byRoot[root] = append(byRoot[root], r)
+	// Groups in ascending root order, each holding its runs in input order,
+	// carved from one slab.
+	order := make([]int, n)
+	root := make([]int, n)
+	for i := range order {
+		order[i], root[i] = i, find(i)
 	}
-	sort.Ints(roots)
+	slices.SortFunc(order, func(a, b int) int {
+		if root[a] != root[b] {
+			return root[a] - root[b]
+		}
+		return a - b
+	})
+	slab := make([]IdleRun, n)
 	var out [][]IdleRun
-	for _, root := range roots {
-		out = append(out, byRoot[root])
+	start := 0
+	for k, i := range order {
+		slab[k] = runs[i]
+		if k+1 == n || root[order[k+1]] != root[i] {
+			out = append(out, slab[start:k+1:k+1])
+			start = k + 1
+		}
 	}
 	return out
 }
 
-// splitGroup recursively extracts windows from a group: it finds the
-// elementary time interval combination with the largest number of jointly
-// idle qubits (ties broken by duration), emits it as a window, clips the
-// remaining run pieces, and recurses (Algorithm 1, lines 10-18).
-func splitGroup(group []IdleRun, minDur float64, out *[]Window) {
+// splitter is the scratch of one CollectJointDelays call. Each recursion
+// level of split appends its cells, cell qubits and clipped runs past the
+// levels above it and truncates them again when done. Window qubit lists
+// are carved from qs, which only grows, so the windows returned alias no
+// reused memory.
+type splitter struct {
+	minDur float64
+	out    []Window
+	bounds []float64
+	cells  []cell
+	cellQs []int
+	runs   []IdleRun
+	qs     []int
+}
+
+// cell is one elementary interval of a group with the qubits idle over it
+// (cellQs[lo:hi], ascending).
+type cell struct {
+	start, end float64
+	lo, hi     int
+}
+
+// split recursively extracts windows from a group: it finds the elementary
+// time interval combination with the largest number of jointly idle qubits
+// (ties broken by duration), emits it as a window, clips the remaining run
+// pieces, and recurses (Algorithm 1, lines 10-18).
+func (s *splitter) split(group []IdleRun) {
 	if len(group) == 0 {
 		return
 	}
 	// Elementary boundaries.
-	bset := map[float64]bool{}
+	b0 := len(s.bounds)
 	for _, r := range group {
-		bset[r.Start] = true
-		bset[r.End] = true
+		s.bounds = append(s.bounds, r.Start, r.End)
 	}
-	bounds := make([]float64, 0, len(bset))
-	for b := range bset {
-		bounds = append(bounds, b)
-	}
-	sort.Float64s(bounds)
-	type cell struct {
-		start, end float64
-		qubits     []int
-	}
-	var cells []cell
+	bounds := s.bounds[b0:]
+	slices.Sort(bounds)
+	bounds = slices.Compact(bounds)
+	c0, q0 := len(s.cells), len(s.cellQs)
 	for i := 0; i+1 < len(bounds); i++ {
 		mid := (bounds[i] + bounds[i+1]) / 2
-		var qs []int
+		lo := len(s.cellQs)
 		for _, r := range group {
 			if r.Start <= mid && mid < r.End {
-				qs = append(qs, r.Qubit)
+				s.cellQs = append(s.cellQs, r.Qubit)
 			}
 		}
-		if len(qs) > 0 {
-			sort.Ints(qs)
-			cells = append(cells, cell{bounds[i], bounds[i+1], qs})
+		if len(s.cellQs) > lo {
+			slices.Sort(s.cellQs[lo:])
+			s.cells = append(s.cells, cell{bounds[i], bounds[i+1], lo, len(s.cellQs)})
 		}
 	}
+	s.bounds = s.bounds[:b0]
+	cells := s.cells[c0:]
 	if len(cells) == 0 {
 		return
 	}
 	// Merge adjacent cells with identical qubit sets.
-	merged := []cell{cells[0]}
+	merged := cells[:1]
 	for _, c := range cells[1:] {
 		last := &merged[len(merged)-1]
-		if c.start == last.end && equalInts(c.qubits, last.qubits) {
+		if c.start == last.end && slices.Equal(s.cellQs[c.lo:c.hi], s.cellQs[last.lo:last.hi]) {
 			last.end = c.end
 			continue
 		}
@@ -266,52 +305,48 @@ func splitGroup(group []IdleRun, minDur float64, out *[]Window) {
 	best := 0
 	for i, c := range merged[1:] {
 		b := merged[best]
-		if len(c.qubits) > len(b.qubits) ||
-			(len(c.qubits) == len(b.qubits) && c.end-c.start > b.end-b.start) {
+		if c.hi-c.lo > b.hi-b.lo ||
+			(c.hi-c.lo == b.hi-b.lo && c.end-c.start > b.end-b.start) {
 			best = i + 1
 		}
 	}
 	w := merged[best]
-	if w.end-w.start >= minDur {
-		*out = append(*out, Window{Qubits: w.qubits, Start: w.start, End: w.end})
+	if w.end-w.start >= s.minDur {
+		k := len(s.qs)
+		s.qs = append(s.qs, s.cellQs[w.lo:w.hi]...)
+		s.out = append(s.out, Window{Qubits: s.qs[k:len(s.qs):len(s.qs)], Start: w.start, End: w.end})
 	}
+	s.cells, s.cellQs = s.cells[:c0], s.cellQs[:q0]
 	// Split remaining run pieces strictly before/after the chosen window and
 	// recurse on each side.
-	var before, after []IdleRun
+	r0 := len(s.runs)
 	for _, r := range group {
 		if r.Start < w.start {
 			e := r.End
 			if e > w.start {
 				e = w.start
 			}
-			if e-r.Start >= minDur {
-				before = append(before, IdleRun{r.Qubit, r.Start, e})
+			if e-r.Start >= s.minDur {
+				s.runs = append(s.runs, IdleRun{r.Qubit, r.Start, e})
 			}
 		}
+	}
+	r1 := len(s.runs)
+	for _, r := range group {
 		if r.End > w.end {
-			s := r.Start
-			if s < w.end {
-				s = w.end
+			st := r.Start
+			if st < w.end {
+				st = w.end
 			}
-			if r.End-s >= minDur {
-				after = append(after, IdleRun{r.Qubit, s, r.End})
+			if r.End-st >= s.minDur {
+				s.runs = append(s.runs, IdleRun{r.Qubit, st, r.End})
 			}
 		}
 	}
-	splitGroup(before, minDur, out)
-	splitGroup(after, minDur, out)
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	r2 := len(s.runs)
+	s.split(s.runs[r0:r1:r1])
+	s.split(s.runs[r1:r2:r2])
+	s.runs = s.runs[:r0]
 }
 
 // CollectJointDelays implements Algorithm 1's CollectJointDelays: it
@@ -320,10 +355,11 @@ func equalInts(a, b []int) bool {
 // jointly idle qubits. Windows are returned sorted by start time.
 func CollectJointDelays(c *circuit.Circuit, g *qgraph.Graph, minDur float64) []Window {
 	runs := IdleRuns(c, minDur)
-	var out []Window
+	s := &splitter{minDur: minDur}
 	for _, grp := range groupRuns(runs, g) {
-		splitGroup(grp, minDur, &out)
+		s.split(grp)
 	}
+	out := s.out
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {
 			return out[i].Start < out[j].Start

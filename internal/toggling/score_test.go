@@ -132,3 +132,42 @@ func TestScorerZeroDurationLayer(t *testing.T) {
 		t.Fatalf("unscheduled layer scored %v, want 0", got)
 	}
 }
+
+// TestIntegratorMatchesIntegrateFiltered pins the slice integrator to the
+// map-based reference bit for bit, layer by layer, with and without Stark
+// terms and with an edge filter: every angle IntegrateFiltered keeps
+// appears with identical bits, and every other entry is below Floor.
+func TestIntegratorMatchesIntegrateFiltered(t *testing.T) {
+	dev, c := scheduleFixture(t)
+	collapsed := make([]bool, dev.NQubits)
+	collapsed[4] = true
+	it := NewIntegrator(dev, dev.NQubits)
+	for _, stark := range []bool{true, false} {
+		for _, filter := range [][]bool{nil, collapsed} {
+			var skip func(device.Edge) bool
+			if filter != nil {
+				skip = func(e device.Edge) bool { return filter[e.A] || filter[e.B] }
+			}
+			for li := range c.Layers {
+				l := &c.Layers[li]
+				want := IntegrateFiltered(BuildLayerModel(l, dev), dev, stark, skip)
+				it.Layer(l, stark, filter)
+				for q, v := range it.PhiZ {
+					w, ok := want.PhiZ[q]
+					if ok != (math.Abs(v) >= Floor) || (ok && math.Float64bits(v) != math.Float64bits(w)) {
+						t.Errorf("stark=%v filter=%v layer %d: phiZ[%d] = %v, IntegrateFiltered %v (present %v)", stark, filter != nil, li, q, v, w, ok)
+					}
+				}
+				for i, v := range it.PhiZZ {
+					w, ok := want.PhiZZ[it.Edges[i]]
+					if ok != (math.Abs(v) >= Floor) || (ok && math.Float64bits(v) != math.Float64bits(w)) {
+						t.Errorf("stark=%v filter=%v layer %d: phiZZ%v = %v, IntegrateFiltered %v (present %v)", stark, filter != nil, li, it.Edges[i], v, w, ok)
+					}
+				}
+				if len(want.PhiZZ) > 0 && len(it.Edges) == 0 {
+					t.Fatal("integrator lost the crosstalk edges")
+				}
+			}
+		}
+	}
+}

@@ -212,7 +212,15 @@ func IntegrateFiltered(m *LayerModel, dev *device.Device, includeStark bool, ski
 		}
 	}
 	if includeStark {
+		// Sources in ascending order, as Integrator adds them: an idle
+		// qubit between two driven neighbors sums its Stark terms in one
+		// fixed order, so phiZ is bit-deterministic.
+		srcs := make([]int, 0, len(m.Driven))
 		for src := range m.Driven {
+			srcs = append(srcs, src)
+		}
+		sort.Ints(srcs)
+		for _, src := range srcs {
 			for _, nb := range dev.Neighbors(src) {
 				pn, rotN, activeN := pulsesOf(nb)
 				if activeN || rotN {
@@ -228,14 +236,13 @@ func IntegrateFiltered(m *LayerModel, dev *device.Device, includeStark bool, ski
 	}
 	// Drop numerically negligible entries so the EC pass does not chase
 	// noise-floor angles.
-	const eps = 1e-12
 	for q, v := range res.PhiZ {
-		if math.Abs(v) < eps {
+		if math.Abs(v) < Floor {
 			delete(res.PhiZ, q)
 		}
 	}
 	for e, v := range res.PhiZZ {
-		if math.Abs(v) < eps {
+		if math.Abs(v) < Floor {
 			delete(res.PhiZZ, e)
 		}
 	}

@@ -29,31 +29,44 @@ const (
 	AllQubits
 )
 
-var (
-	tableMu  sync.Mutex
-	tables   = map[gates.Kind]*pauli.CliffordTable{}
-	twoPauli = []pauli.Pauli{pauli.I, pauli.X, pauli.Y, pauli.Z}
-)
+var twoPauli = []pauli.Pauli{pauli.I, pauli.X, pauli.Y, pauli.Z}
 
-// TableFor returns (building on first use) the Pauli conjugation table of a
-// Clifford two-qubit gate kind.
-func TableFor(k gates.Kind) (*pauli.CliffordTable, error) {
-	tableMu.Lock()
-	defer tableMu.Unlock()
-	if t, ok := tables[k]; ok {
-		return t, nil
+// cliffordTables holds the conjugation tables of the supported Clifford
+// gates, built once on first use and read-only after, so concurrent
+// compiles look them up without a lock.
+var cliffordTables = sync.OnceValue(func() *[3]cliffordTable {
+	ts := new([3]cliffordTable)
+	for i, k := range [3]gates.Kind{gates.ECR, gates.CX, gates.SWAP} {
+		t, err := pauli.NewCliffordTable(gates.Matrix2Q(k))
+		if err != nil {
+			err = fmt.Errorf("twirl: %s: %w", k, err)
+		}
+		ts[i] = cliffordTable{t, err}
 	}
+	return ts
+})
+
+type cliffordTable struct {
+	t   *pauli.CliffordTable
+	err error
+}
+
+// TableFor returns the Pauli conjugation table of a Clifford two-qubit gate
+// kind.
+func TableFor(k gates.Kind) (*pauli.CliffordTable, error) {
+	var i int
 	switch k {
-	case gates.ECR, gates.CX, gates.SWAP:
+	case gates.ECR:
+		i = 0
+	case gates.CX:
+		i = 1
+	case gates.SWAP:
+		i = 2
 	default:
 		return nil, fmt.Errorf("twirl: %s is not a supported Clifford gate", k)
 	}
-	t, err := pauli.NewCliffordTable(gates.Matrix2Q(k))
-	if err != nil {
-		return nil, fmt.Errorf("twirl: %s: %w", k, err)
-	}
-	tables[k] = t
-	return t, nil
+	ct := &cliffordTables()[i]
+	return ct.t, ct.err
 }
 
 func pauliGate(p pauli.Pauli) gates.Kind {
@@ -68,26 +81,73 @@ func pauliGate(p pauli.Pauli) gates.Kind {
 	return gates.ID
 }
 
-func addPauli(l *circuit.Layer, p pauli.Pauli, q int) {
+// twirlLayer builds one pre- or post-TwirlLayer. Instrs and the qubit slab
+// are sized for the most Paulis the layer can hold, so adding one never
+// allocates; each Pauli's Qubits is a capped one-element window of the
+// slab. Paulis are appended without Layer.Add's disjointness scan: twirl
+// puts at most one Pauli on each qubit of an already valid layer (and
+// Pipeline.ApplyContext validates its output).
+type twirlLayer struct {
+	l    circuit.Layer
+	slab []int
+}
+
+func newTwirlLayer(n int) twirlLayer {
+	return twirlLayer{
+		l:    circuit.Layer{Kind: circuit.TwirlLayer, Instrs: make([]circuit.Instruction, 0, n)},
+		slab: make([]int, 0, n),
+	}
+}
+
+func (t *twirlLayer) add(p pauli.Pauli, q int) {
 	if p == pauli.I {
 		return
 	}
-	l.Add(circuit.Instruction{Gate: pauliGate(p), Qubits: []int{q}, Tag: "twirl"})
+	k := len(t.slab)
+	t.slab = append(t.slab, q)
+	t.l.Instrs = append(t.l.Instrs, circuit.Instruction{Gate: pauliGate(p), Qubits: t.slab[k : k+1 : k+1], Tag: "twirl"})
 }
 
-// Instance returns a new circuit with one sampled Pauli twirl applied: every
-// two-qubit layer is wrapped in a pre- and post-TwirlLayer whose Paulis
-// preserve the layer's logical operation. Layers containing non-twirlable
-// gates are passed through unchanged.
+// Instance returns a new circuit with one sampled Pauli twirl applied (see
+// Apply); c is not modified.
 func Instance(c *circuit.Circuit, scope Scope, rng *rand.Rand) (*circuit.Circuit, error) {
-	out := circuit.New(c.NQubits, c.NCBits)
-	for _, l := range c.Layers {
-		if l.Kind != circuit.TwoQubitLayer || l.NumTwoQubitGates() == 0 {
-			out.Layers = append(out.Layers, l.Clone())
+	out := c.Clone()
+	if err := Apply(out, scope, rng); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Apply samples one Pauli twirl into c in place: every two-qubit layer is
+// wrapped in a pre- and post-TwirlLayer whose Paulis preserve the layer's
+// logical operation. Layers containing non-twirlable gates are passed
+// through unchanged. The layers of c move into the twirled circuit as they
+// are; on error c is left unchanged.
+func Apply(c *circuit.Circuit, scope Scope, rng *rand.Rand) error {
+	nLayers := len(c.Layers)
+	for i := range c.Layers {
+		if l := &c.Layers[i]; l.Kind == circuit.TwoQubitLayer && l.NumTwoQubitGates() > 0 {
+			nLayers += 2
+		}
+	}
+	layers := make([]circuit.Layer, 0, nLayers)
+	// busy[q] == li+1 marks qubit q active in layer li (for AllQubits).
+	var busy []int32
+	if scope == AllQubits {
+		busy = make([]int32, c.NQubits)
+	}
+	for li := range c.Layers {
+		l := &c.Layers[li]
+		n2q := l.NumTwoQubitGates()
+		if l.Kind != circuit.TwoQubitLayer || n2q == 0 {
+			layers = append(layers, *l)
 			continue
 		}
-		pre := circuit.Layer{Kind: circuit.TwirlLayer}
-		post := circuit.Layer{Kind: circuit.TwirlLayer}
+		size := 2 * n2q
+		if scope == AllQubits {
+			size = max(size, c.NQubits)
+		}
+		pre, post := newTwirlLayer(size), newTwirlLayer(size)
 		ok := true
 		for i := range l.Instrs {
 			in := &l.Instrs[i]
@@ -99,39 +159,55 @@ func Instance(c *circuit.Circuit, scope Scope, rng *rand.Rand) (*circuit.Circuit
 			case gates.ECR, gates.CX, gates.SWAP:
 				tab, err := TableFor(in.Gate)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				p := pauli.Pair{P0: twoPauli[rng.Intn(4)], P1: twoPauli[rng.Intn(4)]}
 				q, _ := tab.InvertFor(p) // global sign is unobservable
-				addPauli(&pre, p.P0, q0)
-				addPauli(&pre, p.P1, q1)
-				addPauli(&post, q.P0, q0)
-				addPauli(&post, q.P1, q1)
+				pre.add(p.P0, q0)
+				pre.add(p.P1, q1)
+				post.add(q.P0, q0)
+				post.add(q.P1, q1)
 			case gates.RZZ, gates.Ucan:
 				// Twirl group restricted to the commutant {II, XX, YY, ZZ}.
 				p := twoPauli[rng.Intn(4)]
-				addPauli(&pre, p, q0)
-				addPauli(&pre, p, q1)
-				addPauli(&post, p, q0)
-				addPauli(&post, p, q1)
+				pre.add(p, q0)
+				pre.add(p, q1)
+				post.add(p, q0)
+				post.add(p, q1)
 			default:
 				ok = false
 			}
 		}
 		if !ok {
-			out.Layers = append(out.Layers, l.Clone())
+			layers = append(layers, *l)
 			continue
 		}
 		if scope == AllQubits {
-			for _, q := range l.IdleQubits(c.NQubits) {
+			// The idle qubits of the layer, ascending, as Layer.IdleQubits
+			// lists them.
+			stamp := int32(li + 1)
+			for i := range l.Instrs {
+				if in := &l.Instrs[i]; in.Gate != gates.Delay {
+					for _, q := range in.Qubits {
+						if q >= 0 && q < len(busy) {
+							busy[q] = stamp
+						}
+					}
+				}
+			}
+			for q := range busy {
+				if busy[q] == stamp {
+					continue
+				}
 				p := twoPauli[rng.Intn(4)]
-				addPauli(&pre, p, q)
-				addPauli(&post, p, q)
+				pre.add(p, q)
+				post.add(p, q)
 			}
 		}
-		out.Layers = append(out.Layers, pre, l.Clone(), post)
+		layers = append(layers, pre.l, *l, post.l)
 	}
-	return out, nil
+	c.Layers = layers
+	return nil
 }
 
 // Instances samples k independent twirls of c.

@@ -23,21 +23,30 @@ import (
 // k-th row of the naturally-ordered (Paley/Hadamard) Walsh matrix:
 // sign(k, j) = (-1)^popcount(k AND j).
 func Signs(k, nBins int) []int {
+	checkRow(k, nBins)
+	out := make([]int, nBins)
+	for j := range out {
+		out[j] = sign(k, j)
+	}
+	return out
+}
+
+// checkRow panics unless row k fits a power-of-two grid of nBins bins.
+func checkRow(k, nBins int) {
 	if nBins <= 0 || nBins&(nBins-1) != 0 {
 		panic(fmt.Sprintf("walsh: nBins must be a power of two, got %d", nBins))
 	}
 	if k < 0 || k >= nBins {
 		panic(fmt.Sprintf("walsh: sequence index %d out of range for %d bins", k, nBins))
 	}
-	out := make([]int, nBins)
-	for j := 0; j < nBins; j++ {
-		if bits.OnesCount(uint(k&j))%2 == 0 {
-			out[j] = 1
-		} else {
-			out[j] = -1
-		}
+}
+
+// sign returns the sign of Walsh row k in bin j.
+func sign(k, j int) int {
+	if bits.OnesCount(uint(k&j))%2 == 0 {
+		return 1
 	}
-	return out
+	return -1
 }
 
 // MinBins returns the smallest power-of-two bin count that can represent
@@ -56,36 +65,37 @@ func MinBins(k int) int {
 // a common bin count so that pulse times of different colors interleave
 // consistently; nBins must be >= MinBins(k).
 func PulseTimes(k int, T float64, nBins int) []float64 {
+	return AppendPulseTimes(nil, k, T, nBins)
+}
+
+// AppendPulseTimes appends the pulse times PulseTimes returns to dst.
+func AppendPulseTimes(dst []float64, k int, T float64, nBins int) []float64 {
 	if k == 0 {
-		return nil
+		return dst
 	}
-	s := Signs(k, nBins)
+	checkRow(k, nBins)
 	dt := T / float64(nBins)
-	var times []float64
-	prev := s[0]
+	prev := sign(k, 0)
 	if prev == -1 {
 		// Start in the flipped frame: pulse at t=0.
-		times = append(times, 0)
+		dst = append(dst, 0)
 	}
 	for j := 1; j < nBins; j++ {
-		if s[j] != prev {
-			times = append(times, float64(j)*dt)
-			prev = s[j]
+		if s := sign(k, j); s != prev {
+			dst = append(dst, float64(j)*dt)
+			prev = s
 		}
 	}
 	if prev == -1 {
-		times = append(times, T)
+		dst = append(dst, T)
 	}
-	return times
+	return dst
 }
 
 // NumPulses returns the pulse count of sequence k (on MinBins bins), the
 // quantity the coloring heuristic minimizes.
 func NumPulses(k int) int {
-	if k == 0 {
-		return 0
-	}
-	return len(PulseTimes(k, 1, MinBins(k)))
+	return PulseCount(k, MinBins(k))
 }
 
 // SignIntegral returns the integral of the sign function of sequence k over
@@ -116,7 +126,8 @@ func PairIntegral(k1, k2, nBins int) float64 {
 // PulseCount returns the number of pulses of row k sampled on nBins bins
 // (sign flips plus the frame-restoring pulse at T if needed).
 func PulseCount(k, nBins int) int {
-	return len(PulseTimes(k, 1, nBins))
+	var buf [16]float64
+	return len(AppendPulseTimes(buf[:0], k, 1, nBins))
 }
 
 // Palette returns row indices for nColors colors, all on a common bin grid,
