@@ -3,6 +3,7 @@ package casq
 // The package documentation lives in doc.go.
 
 import (
+	"context"
 	"math/rand"
 	"net/http"
 
@@ -139,11 +140,9 @@ type (
 	SweepGrid = sweep.Grid
 	// SweepSpec is a sweep request: experiment ids × an option grid.
 	SweepSpec = sweep.Spec
-	// SweepRunner schedules sweep cells with bounded concurrency and
-	// checkpoint/resume through the store.
-	SweepRunner = sweep.Runner
-	// SweepRun is one scheduled sweep execution.
-	SweepRun = sweep.Run
+	// SweepRun is one submitted sweep: its cells, per-cell states,
+	// progress snapshots and change signal.
+	SweepRun = fabric.Sweep
 	// SweepProgress snapshots a sweep's completion state.
 	SweepProgress = sweep.Progress
 	// ExperimentSpec is one experiment's declarative catalog entry.
@@ -158,14 +157,15 @@ type (
 	ServerConfig = serve.Config
 )
 
-// Distributed sweep fabric: the coordinator/worker job queue that shards
-// a sweep across processes and machines through the shared store.
+// Sweep fabric: the coordinator/worker job queue that runs every sweep,
+// on in-process slots or sharded across processes and machines through
+// the shared store.
 type (
 	// StoreBackend is the persistence tier behind the store's LRU: disk,
 	// in-memory, or a remote store over HTTP.
 	StoreBackend = store.Backend
-	// FabricCoordinator owns the distributed job queue: cells are leased
-	// to workers, expired leases requeue, results aggregate into
+	// FabricCoordinator owns the sweep job queue: cells are leased to
+	// workers, expired leases requeue, results aggregate into
 	// SweepProgress.
 	FabricCoordinator = fabric.Coordinator
 	// FabricOptions configure a coordinator (lease TTL).
@@ -173,9 +173,6 @@ type (
 	// FabricWorker claims cells from a coordinator, computes them through
 	// the shared store, and reports completion under a heartbeat.
 	FabricWorker = fabric.Worker
-	// FabricSweep is one distributed sweep: the fabric-side counterpart
-	// of SweepRun with the same progress surface.
-	FabricSweep = fabric.Sweep
 	// FabricStats snapshots the coordinator's queue and fleet counters.
 	FabricStats = fabric.Stats
 )
@@ -573,10 +570,15 @@ func Fingerprint(v any) (StoreKey, error) { return store.Fingerprint(v) }
 // NewFigureCache returns the compute-or-cached figure layer over a store.
 func NewFigureCache(st *ResultStore) *FigureCache { return sweep.NewCache(st) }
 
-// NewSweepRunner returns a scheduler running sweep cells through the
-// cache with bounded concurrency (workers <= 0 means GOMAXPROCS).
-func NewSweepRunner(cache *FigureCache, workers int) *SweepRunner {
-	return &sweep.Runner{Cache: cache, Workers: workers}
+// NewLocalCoordinator returns a coordinator whose sweeps run in-process
+// through the cache on workers local slots (<= 0 means GOMAXPROCS) until
+// ctx is cancelled; cells still pending then are marked skipped. Submit a
+// SweepSpec and Wait on the returned SweepRun; Close the coordinator when
+// done.
+func NewLocalCoordinator(ctx context.Context, cache *FigureCache, workers int) *FabricCoordinator {
+	c := fabric.NewCoordinator(cache.Store, fabric.Options{})
+	go c.LocalWorker(cache, workers).Run(ctx)
+	return c
 }
 
 // NewServer returns the HTTP experiment service over a figure cache; wire

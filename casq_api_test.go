@@ -191,8 +191,11 @@ func TestFacadeExperimentService(t *testing.T) {
 		t.Fatalf("second request: hit=%v identical=%v err=%v", hit, string(first) == string(second), err)
 	}
 
-	runner := casq.NewSweepRunner(cache, 2)
-	run, err := runner.Start(context.Background(), casq.SweepSpec{
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	coord := casq.NewLocalCoordinator(ctx, cache, 2)
+	defer coord.Close()
+	run, err := coord.Submit(casq.SweepSpec{
 		IDs:  []string{"fig5", "table1"},
 		Grid: casq.SweepGrid{Seeds: []int64{1, 2}},
 		Base: opts,

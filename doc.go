@@ -41,10 +41,11 @@
 //   - an experiment service: every paper figure is declared in a catalog
 //     (ExperimentCatalog) with its parameter axes; OpenResultStore +
 //     NewFigureCache answer repeated figure requests from a
-//     content-addressed two-tier cache, NewSweepRunner expands option
-//     grids into checkpointed batch runs that resume after interruption,
-//     and NewServer exposes catalog, figures, and sweeps over HTTP (the
-//     `casq serve` subcommand).
+//     content-addressed two-tier cache, NewLocalCoordinator runs option
+//     grids as checkpointed sweeps on in-process worker slots (the same
+//     coordinator a worker fleet claims from) that resume after
+//     interruption, and NewServer exposes catalog, figures, and sweeps
+//     over HTTP (the `casq serve` subcommand).
 //
 // A minimal end-to-end run:
 //

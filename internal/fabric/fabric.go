@@ -1,19 +1,22 @@
-// Package fabric shards sweep campaigns across processes and machines.
-// A Coordinator turns each submitted sweep.Spec into a queue of cells
-// guarded by worker leases: Workers claim cells over HTTP, compute them
-// through the shared content-addressed store, and report completion. A
-// worker that dies mid-cell simply stops heartbeating — its lease expires
-// and the cell is requeued for a survivor. Because every result is
+// Package fabric is the one sweep executor. A Coordinator turns each
+// submitted sweep.Spec into a queue of cells guarded by worker leases;
+// Workers claim cells, compute them through the shared content-addressed
+// store, and report completion. A worker reaches its coordinator over one
+// of two transports: HTTP for remote worker processes (NewWorker), or
+// direct calls for the in-process slots that run local sweeps
+// (Coordinator.LocalWorker). Both process a cell on the same code path —
+// heartbeat, span, Cache.Figure, complete — so local and distributed
+// sweeps share one queue, one lease model and one progress surface.
+//
+// A worker that dies mid-cell simply stops heartbeating — its lease
+// expires and the cell is requeued for a survivor. Because every result is
 // checkpointed into the store under its content address the moment it is
 // computed, a requeued cell whose result already landed is answered from
 // the store without recomputation, and the store is never written twice
 // for one cell: crash recovery costs at most the one in-flight cell per
 // dead worker.
 //
-// The coordinator aggregates per-cell state into the same sweep.Progress
-// model the in-process scheduler reports, so the serve layer's progress,
-// listing, and SSE endpoints work identically for local and distributed
-// sweeps. Wire protocol (all JSON over HTTP, mounted by Handler):
+// HTTP wire protocol (all JSON, mounted by Handler):
 //
 //	POST /fabric/claim      {"worker":id} -> lease + cell, or 204 when idle
 //	POST /fabric/heartbeat  {"lease_id":id} extends the lease, 410 if expired
@@ -23,6 +26,7 @@
 package fabric
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -51,20 +55,22 @@ type Options struct {
 	LeaseTTL time.Duration
 }
 
-// Coordinator owns the distributed job queue: sweeps expand into cells,
-// cells are leased to workers, and expired leases requeue. It also serves
-// the shared store, so workers need exactly one endpoint. Safe for
+// Coordinator owns the sweep job queue: sweeps expand into cells, cells
+// are leased to workers, and expired leases requeue. It also serves the
+// shared store, so remote workers need exactly one endpoint. Safe for
 // concurrent use; create with NewCoordinator and release with Close.
 type Coordinator struct {
 	st       *store.Store
 	leaseTTL time.Duration
 
 	mu      sync.Mutex
-	sweeps  []*Sweep
+	active  int // submitted sweeps not yet finished
 	queue   []cellRef
 	leases  map[string]*lease
 	seq     int64
-	workers map[string]time.Time // worker id -> last seen
+	workers map[string]time.Time // worker id -> last seen, pruned past 10 lease TTLs
+	work    chan struct{}        // closed and replaced whenever cells enqueue
+	stopped bool                 // the local worker's slots have stopped: skip new cells
 
 	claims, completes, heartbeats, expirations uint64
 
@@ -97,6 +103,7 @@ func NewCoordinator(st *store.Store, opts Options) *Coordinator {
 		leaseTTL: ttl,
 		leases:   map[string]*lease{},
 		workers:  map[string]time.Time{},
+		work:     make(chan struct{}),
 		closed:   make(chan struct{}),
 	}
 	go c.janitor()
@@ -112,7 +119,8 @@ func (c *Coordinator) Store() *store.Store { return c.st }
 func (c *Coordinator) Close() { c.closeOnce.Do(func() { close(c.closed) }) }
 
 // janitor expires leases even when no worker is polling, so a sweep whose
-// entire fleet died still requeues (and a reconnecting fleet resumes it).
+// entire fleet died still requeues (and a reconnecting fleet resumes it),
+// and forgets workers not seen for 10 lease TTLs.
 func (c *Coordinator) janitor() {
 	period := c.leaseTTL / 2
 	if period < 5*time.Millisecond {
@@ -125,14 +133,16 @@ func (c *Coordinator) janitor() {
 		case <-c.closed:
 			return
 		case <-t.C:
+			now := time.Now()
 			c.mu.Lock()
-			c.expireLocked(time.Now())
+			c.expireLocked(now)
+			c.pruneWorkersLocked(now)
 			c.mu.Unlock()
 		}
 	}
 }
 
-// Submit expands the spec and enqueues its cells for the worker fleet,
+// Submit expands the spec and enqueues its cells for the workers,
 // returning the Sweep handle the serve layer tracks. Cells enqueue in the
 // spec's deterministic expansion order.
 func (c *Coordinator) Submit(spec sweep.Spec) (*Sweep, error) {
@@ -154,15 +164,28 @@ func (c *Coordinator) Submit(spec sweep.Spec) (*Sweep, error) {
 		sw.states[i] = sweep.CellPending
 	}
 	c.mu.Lock()
-	c.sweeps = append(c.sweeps, sw)
+	defer c.mu.Unlock()
 	for i := range cells {
 		c.queue = append(c.queue, cellRef{sw: sw, idx: i})
 	}
-	if len(cells) == 0 {
+	switch {
+	case len(cells) == 0:
 		close(sw.done)
+	case c.stopped:
+		c.active++
+		c.skipQueuedLocked()
+	default:
+		c.active++
+		c.signalWorkLocked()
 	}
-	c.mu.Unlock()
 	return sw, nil
+}
+
+// signalWorkLocked wakes every local claim waiting for work. Callers hold
+// c.mu.
+func (c *Coordinator) signalWorkLocked() {
+	close(c.work)
+	c.work = make(chan struct{})
 }
 
 // claim hands the oldest pending cell to a worker under a fresh lease,
@@ -175,8 +198,51 @@ func (c *Coordinator) claim(worker string, now time.Time) (string, sweep.Cell, u
 	c.workers[worker] = now
 	c.claims++
 	mClaims.Inc()
+	id, ref, ok := c.leaseLocked(worker, now)
+	if !ok {
+		return "", sweep.Cell{}, 0, false
+	}
+	return id, ref.sw.cells[ref.idx], ref.sw.traceID, true
+}
+
+// claimLocal is the direct claim of an in-process worker: it blocks on
+// the work signal until it can lease a cell, or returns false once ctx
+// is done. It never polls, so only successful claims are counted.
+func (c *Coordinator) claimLocal(ctx context.Context, worker string) (claimResponse, bool) {
+	for {
+		c.mu.Lock()
+		if ctx.Err() != nil {
+			c.mu.Unlock()
+			return claimResponse{}, false
+		}
+		now := time.Now()
+		c.expireLocked(now)
+		if id, ref, ok := c.leaseLocked(worker, now); ok {
+			c.workers[worker] = now
+			c.claims++
+			mClaims.Inc()
+			c.mu.Unlock()
+			return claimResponse{
+				LeaseID: id, LeaseTTLMS: c.leaseTTL.Milliseconds(),
+				Cell: ref.sw.cells[ref.idx], TraceID: ref.sw.traceID, sweepCells: len(ref.sw.cells),
+			}, true
+		}
+		wake := c.work
+		c.mu.Unlock()
+		select {
+		case <-ctx.Done():
+			return claimResponse{}, false
+		case <-wake:
+		}
+	}
+}
+
+// leaseLocked leases the oldest pending cell to worker, if any. Callers
+// hold c.mu.
+func (c *Coordinator) leaseLocked(worker string, now time.Time) (string, cellRef, bool) {
 	for len(c.queue) > 0 {
 		ref := c.queue[0]
+		c.queue[0] = cellRef{} // the backing array must not pin finished sweeps
 		c.queue = c.queue[1:]
 		if ref.sw.states[ref.idx] != sweep.CellPending {
 			continue
@@ -187,9 +253,9 @@ func (c *Coordinator) claim(worker string, now time.Time) (string, sweep.Cell, u
 		c.seq++
 		id := fmt.Sprintf("lease-%d", c.seq)
 		c.leases[id] = &lease{ref: ref, worker: worker, expiry: now.Add(c.leaseTTL)}
-		return id, ref.sw.cells[ref.idx], ref.sw.traceID, true
+		return id, ref, true
 	}
-	return "", sweep.Cell{}, 0, false
+	return "", cellRef{}, false
 }
 
 // heartbeat extends a lease; ErrLeaseGone means the worker lost it (the
@@ -229,23 +295,51 @@ func (c *Coordinator) complete(leaseID string, st sweep.CellState, errMsg string
 	c.workers[l.worker] = now
 	c.completes++
 	mCompletes.Inc()
+	c.finishLocked(l.ref, st, errMsg)
+	return nil
+}
+
+// stopLocal marks every queued cell skipped, so its sweep can finish, and
+// skips the cells of every later submission too. The local worker calls
+// it once its slots have stopped.
+func (c *Coordinator) stopLocal() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.stopped = true
+	c.skipQueuedLocked()
+}
+
+// skipQueuedLocked marks every queued cell skipped. Callers hold c.mu.
+func (c *Coordinator) skipQueuedLocked() {
+	for _, ref := range c.queue {
+		if ref.sw.states[ref.idx] == sweep.CellPending {
+			c.finishLocked(ref, sweep.CellSkipped, "")
+		}
+	}
+	c.queue = nil
+}
+
+// finishLocked moves one cell to the terminal state st, finishing its
+// sweep when it was the last. Callers hold c.mu.
+func (c *Coordinator) finishLocked(ref cellRef, st sweep.CellState, errMsg string) {
 	sweep.RecordCellState(st)
-	sw := l.ref.sw
-	sw.states[l.ref.idx] = st
+	sw := ref.sw
+	sw.states[ref.idx] = st
 	if st == sweep.CellFailed && sw.first == "" {
 		sw.first = errMsg
 	}
 	sw.remaining--
 	if sw.remaining == 0 {
 		close(sw.done)
+		c.active--
 	}
 	sw.notifyLocked()
-	return nil
 }
 
 // expireLocked requeues every cell whose lease outlived its TTL — the
 // crash-recovery path. Callers hold c.mu.
 func (c *Coordinator) expireLocked(now time.Time) {
+	requeued := false
 	for id, l := range c.leases {
 		if now.After(l.expiry) {
 			delete(c.leases, id)
@@ -254,6 +348,21 @@ func (c *Coordinator) expireLocked(now time.Time) {
 			c.expirations++
 			mExpirations.Inc()
 			l.ref.sw.notifyLocked()
+			requeued = true
+		}
+	}
+	if requeued {
+		c.signalWorkLocked()
+	}
+}
+
+// pruneWorkersLocked forgets workers not seen within 10 lease TTLs, so
+// the worker table stays bounded by the live fleet. Callers hold c.mu.
+func (c *Coordinator) pruneWorkersLocked(now time.Time) {
+	cutoff := now.Add(-10 * c.leaseTTL)
+	for id, seen := range c.workers {
+		if !seen.After(cutoff) {
+			delete(c.workers, id)
 		}
 	}
 }
@@ -261,7 +370,7 @@ func (c *Coordinator) expireLocked(now time.Time) {
 // Stats is an observability snapshot of the coordinator (reported on the
 // serve layer's /healthz).
 type Stats struct {
-	Sweeps      int    `json:"sweeps"`
+	Sweeps      int    `json:"sweeps"` // sweeps submitted and not yet finished
 	QueueDepth  int    `json:"queue_depth"`
 	Leases      int    `json:"leases"`
 	Workers     int    `json:"workers"` // distinct workers seen within 10 lease TTLs
@@ -275,13 +384,7 @@ type Stats struct {
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cutoff := time.Now().Add(-10 * c.leaseTTL)
-	workers := 0
-	for _, seen := range c.workers {
-		if seen.After(cutoff) {
-			workers++
-		}
-	}
+	c.pruneWorkersLocked(time.Now())
 	depth := 0
 	for _, ref := range c.queue {
 		if ref.sw.states[ref.idx] == sweep.CellPending {
@@ -289,15 +392,14 @@ func (c *Coordinator) Stats() Stats {
 		}
 	}
 	return Stats{
-		Sweeps: len(c.sweeps), QueueDepth: depth, Leases: len(c.leases), Workers: workers,
+		Sweeps: c.active, QueueDepth: depth, Leases: len(c.leases), Workers: len(c.workers),
 		Claims: c.claims, Completes: c.completes, Heartbeats: c.heartbeats, Expirations: c.expirations,
 	}
 }
 
-// Sweep is one distributed sweep: the fabric-side counterpart of
-// sweep.Run, exposing the same progress surface so the serve layer treats
-// local and distributed sweeps uniformly. All state is guarded by the
-// coordinator's lock.
+// Sweep is one submitted sweep and its progress surface, which the serve
+// layer's status, list, SSE and drain paths all read, wherever its cells
+// run. All state is guarded by the coordinator's lock.
 type Sweep struct {
 	c         *Coordinator
 	cells     []sweep.Cell
@@ -313,8 +415,9 @@ type Sweep struct {
 func (s *Sweep) Cells() []sweep.Cell { return s.cells }
 
 // TraceID returns the sweep's trace identity. It travels to workers in
-// every claim response, so spans recorded on a remote worker carry the
-// coordinator's id, and the serve layer echoes it in SSE progress events.
+// every claim response, so every cell span carries the coordinator's id
+// wherever it was recorded, and the serve layer echoes it in SSE progress
+// events.
 func (s *Sweep) TraceID() uint64 { return s.traceID }
 
 // Done returns a channel closed when every cell has reached a terminal
@@ -374,9 +477,10 @@ func (s *Sweep) notifyLocked() {
 	s.watch = make(chan struct{})
 }
 
-// Handler returns the coordinator's HTTP surface: the worker protocol
-// under /fabric/ and the shared store under /store/. The serve layer
-// mounts it next to the figure and sweep endpoints.
+// Handler returns the coordinator's HTTP surface for remote workers: the
+// worker protocol under /fabric/ and the shared store under /store/. The
+// serve layer mounts it next to the figure and sweep endpoints when a
+// coordinator is attached for a worker fleet.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /fabric/claim", c.handleClaim)

@@ -270,8 +270,8 @@ func TestWorkerFailureReported(t *testing.T) {
 }
 
 // TestDistributedBitIdentical is the fabric acceptance pin: the same
-// sweep computed by an in-process runner and by a coordinator + two
-// worker processes produces bit-identical figure payloads under every
+// sweep computed by a coordinator's local slots and by a coordinator +
+// two worker processes produces bit-identical figure payloads under every
 // cell's content address.
 func TestDistributedBitIdentical(t *testing.T) {
 	base := experiments.FastOptions()
@@ -287,8 +287,12 @@ func TestDistributedBitIdentical(t *testing.T) {
 
 	// Single-process reference.
 	localStore := store.OpenWith(nil, 64)
-	runner := &sweep.Runner{Cache: sweep.NewCache(localStore)}
-	run, err := runner.Start(context.Background(), spec)
+	local := NewCoordinator(localStore, Options{})
+	defer local.Close()
+	localCtx, stopLocal := context.WithCancel(context.Background())
+	defer stopLocal()
+	go local.LocalWorker(sweep.NewCache(localStore), 0).Run(localCtx)
+	run, err := local.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,6 +25,10 @@ type claimResponse struct {
 	LeaseTTLMS int64      `json:"lease_ttl_ms"`
 	Cell       sweep.Cell `json:"cell"`
 	TraceID    uint64     `json:"trace_id,omitempty"`
+
+	// sweepCells is the owning sweep's cell count, set only on direct
+	// claims: the local worker sizes each cell's executor share by it.
+	sweepCells int
 }
 
 // heartbeatRequest is the POST /fabric/heartbeat body.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -26,7 +27,9 @@ const DefaultPoll = 200 * time.Millisecond
 // remote HTTP backend), and reports completion. It sends heartbeats while
 // a cell computes, so only a genuinely dead or wedged worker loses its
 // lease. Run as many workers as you have machines; results are
-// bit-identical regardless of which worker computes which cell.
+// bit-identical regardless of which worker computes which cell. A worker
+// from Coordinator.LocalWorker runs the same loop in-process, with direct
+// calls in place of HTTP.
 type Worker struct {
 	// Coordinator is the coordinator's base URL (e.g. "http://host:8823").
 	Coordinator string
@@ -38,16 +41,22 @@ type Worker struct {
 	// Slots is the number of cells computed concurrently (0 = 1). Each
 	// cell's executor defaults to an equal share of GOMAXPROCS.
 	Slots int
-	// Poll is the idle claim-poll interval (0 = DefaultPoll).
+	// Poll is the idle claim-poll interval over HTTP (0 = DefaultPoll);
+	// local workers wait on the coordinator's work signal instead.
 	Poll time.Duration
 	// Client is the HTTP client for coordinator calls (nil =
 	// http.DefaultClient).
 	Client *http.Client
-	// Tracer records one span per processed cell, stamped with the trace
-	// id the coordinator assigned to the owning sweep (carried in the
-	// claim response), and is threaded into the cell's Options so compile
-	// and engine spans nest under it. Nil disables tracing at zero cost.
+	// Tracer records one span per processed cell (lane = slot), stamped
+	// with the trace id the coordinator assigned to the owning sweep
+	// (carried in the claim response), and is threaded into the cell's
+	// Options so compile and engine spans nest under it. Nil disables
+	// tracing at zero cost.
 	Tracer *obs.Tracer
+
+	// local, when set, is the in-process coordinator this worker claims
+	// from, heartbeats to and completes on by direct calls.
+	local *Coordinator
 }
 
 // NewWorker returns a worker computing against the coordinator at base,
@@ -57,6 +66,21 @@ func NewWorker(base string, memCapacity int) *Worker {
 	base = strings.TrimRight(base, "/")
 	st := store.OpenWith(store.NewHTTP(base, nil), memCapacity)
 	return &Worker{Coordinator: base, Cache: sweep.NewCache(st)}
+}
+
+// LocalWorker returns an in-process worker of c computing through cache
+// on slots concurrent cells (<= 0 = GOMAXPROCS). Its claims block on c's
+// work signal instead of polling. slots is one parallelism budget: a
+// sweep narrower than it hands the spare slots to each cell's executor,
+// so a one-cell sweep gets the whole budget. When Run's ctx is
+// cancelled, the in-flight cells finish and report, and every cell still
+// pending — or submitted later — is marked skipped, so each sweep
+// finishes.
+func (c *Coordinator) LocalWorker(cache *sweep.Cache, slots int) *Worker {
+	if slots <= 0 {
+		slots = runtime.GOMAXPROCS(0)
+	}
+	return &Worker{Cache: cache, ID: "local", Slots: slots, local: c}
 }
 
 func (w *Worker) id() string {
@@ -88,27 +112,23 @@ func (w *Worker) poll() time.Duration {
 // ctx.Err(). Claim failures (coordinator restarting, network blips) are
 // retried at the poll interval rather than terminating the worker.
 func (w *Worker) Run(ctx context.Context) error {
-	slots := w.Slots
-	if slots <= 0 {
-		slots = 1
-	}
-	perCell := runtime.GOMAXPROCS(0) / slots
-	if perCell < 1 {
-		perCell = 1
-	}
+	slots := max(1, w.Slots)
 	var wg sync.WaitGroup
-	for i := 0; i < slots; i++ {
+	for slot := 1; slot <= slots; slot++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w.loop(ctx, perCell)
+			w.loop(ctx, slot, slots)
 		}()
 	}
 	wg.Wait()
+	if w.local != nil {
+		w.local.stopLocal()
+	}
 	return ctx.Err()
 }
 
-func (w *Worker) loop(ctx context.Context, perCell int) {
+func (w *Worker) loop(ctx context.Context, slot, slots int) {
 	for ctx.Err() == nil {
 		job, ok, err := w.claim(ctx)
 		if err != nil || !ok {
@@ -119,17 +139,29 @@ func (w *Worker) loop(ctx context.Context, perCell int) {
 			}
 			continue
 		}
-		w.process(ctx, job, perCell)
+		w.process(ctx, job, slot, w.cellWorkers(job, slots))
 	}
+}
+
+// cellWorkers is the executor share of a claimed cell that leaves
+// Options.Workers zero. A remote worker splits GOMAXPROCS evenly between
+// its slots; the local worker splits its slot budget over the cells of
+// the claimed cell's sweep.
+func (w *Worker) cellWorkers(job claimResponse, slots int) int {
+	if w.local == nil {
+		return max(1, runtime.GOMAXPROCS(0)/slots)
+	}
+	return max(1, slots/min(slots, job.sweepCells))
 }
 
 // process computes one claimed cell under a heartbeat. If the completion
 // report fails (coordinator unreachable, lease expired), the result is
 // already checkpointed in the shared store, so the requeued cell is
 // answered from cache by whichever worker claims it next — never
-// recomputed, never written twice.
-func (w *Worker) process(ctx context.Context, job claimResponse, perCell int) {
-	hbCtx, stopHB := context.WithCancel(ctx)
+// recomputed, never written twice. Heartbeats outlive ctx: a worker that
+// is shutting down still holds, finishes and reports its in-flight cell.
+func (w *Worker) process(ctx context.Context, job claimResponse, slot, perCell int) {
+	hbCtx, stopHB := context.WithCancel(context.WithoutCancel(ctx))
 	defer stopHB()
 	go w.heartbeatLoop(hbCtx, job)
 
@@ -139,7 +171,7 @@ func (w *Worker) process(ctx context.Context, job claimResponse, perCell int) {
 	}
 	var sp obs.Span
 	if w.Tracer.Enabled() {
-		sp = w.Tracer.StartTrace("fabric.cell:"+cell.ID, job.TraceID)
+		sp = w.Tracer.StartTrace("fabric.cell:"+cell.ID, job.TraceID).WithLane(slot)
 		cell.Opts.Tracer = w.Tracer
 	}
 	_, hit, err := w.Cache.Figure(cell)
@@ -156,9 +188,9 @@ func (w *Worker) process(ctx context.Context, job claimResponse, perCell int) {
 	w.complete(job.LeaseID, state, errMsg)
 }
 
-// heartbeatLoop extends the lease at a third of its TTL until stopped. A
-// 410 means the lease is gone — the cell was requeued — so heartbeating
-// stops; the compute still finishes and checkpoints its result.
+// heartbeatLoop extends the lease at a third of its TTL until stopped.
+// Once the lease is gone — the cell was requeued — heartbeating stops;
+// the compute still finishes and checkpoints its result.
 func (w *Worker) heartbeatLoop(ctx context.Context, job claimResponse) {
 	every := time.Duration(job.LeaseTTLMS) * time.Millisecond / 3
 	if every < 5*time.Millisecond {
@@ -171,15 +203,29 @@ func (w *Worker) heartbeatLoop(ctx context.Context, job claimResponse) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			status, err := w.post(ctx, "/fabric/heartbeat", heartbeatRequest{LeaseID: job.LeaseID}, nil)
-			if err == nil && status == http.StatusGone {
+			if errors.Is(w.heartbeat(ctx, job.LeaseID), ErrLeaseGone) {
 				return
 			}
 		}
 	}
 }
 
+func (w *Worker) heartbeat(ctx context.Context, leaseID string) error {
+	if w.local != nil {
+		return w.local.heartbeat(leaseID, time.Now())
+	}
+	status, err := w.post(ctx, "/fabric/heartbeat", heartbeatRequest{LeaseID: leaseID}, nil)
+	if err == nil && status == http.StatusGone {
+		return ErrLeaseGone
+	}
+	return err
+}
+
 func (w *Worker) claim(ctx context.Context) (claimResponse, bool, error) {
+	if w.local != nil {
+		job, ok := w.local.claimLocal(ctx, w.id())
+		return job, ok, nil
+	}
 	var resp claimResponse
 	status, err := w.post(ctx, "/fabric/claim", claimRequest{Worker: w.id()}, &resp)
 	if err != nil {
@@ -196,6 +242,10 @@ func (w *Worker) claim(ctx context.Context) (claimResponse, bool, error) {
 }
 
 func (w *Worker) complete(leaseID string, st sweep.CellState, errMsg string) {
+	if w.local != nil {
+		w.local.complete(leaseID, st, errMsg, time.Now())
+		return
+	}
 	// Best-effort: a failed report leaves the lease to expire and the
 	// already-stored result to be served from cache on requeue.
 	w.post(context.Background(), "/fabric/complete",

@@ -73,7 +73,7 @@ func TestECRSelfInverse(t *testing.T) {
 
 func TestCNOTFromECR(t *testing.T) {
 	// CNOT = (Rz(-pi/2) X on ctrl) x (Rx(-pi/2) on tgt) . ECR, up to global
-	// phase. This is the dressing the transpiler uses.
+	// phase: the single-qubit dressing that turns the native ECR into a CNOT.
 	ctrl := linalg.Mul(Matrix1Q(RZ, -math.Pi/2), Matrix1Q(XGate))
 	tgt := Matrix1Q(RX, -math.Pi/2)
 	dress := linalg.Kron(ctrl, tgt)

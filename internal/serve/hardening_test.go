@@ -269,6 +269,40 @@ func TestCloseDrains(t *testing.T) {
 	}
 }
 
+// TestCloseDeadlineSkipsPending: when the drain deadline passes, Close
+// cancels the local slots — the in-flight cell still finishes, every
+// cell still pending is marked skipped, and the sweep finishes.
+func TestCloseDeadlineSkipsPending(t *testing.T) {
+	ts, srv, release := newGatedServer(t, Config{SweepWorkers: 1, DrainTimeout: 20 * time.Millisecond})
+	spec := `{"ids":["fig5"],"grid":{"seeds":[1,2,3]},"fast":true,
+	          "base":{"Shots":16,"Instances":2,"MaxDepth":2,"Fast":true}}`
+	if resp := postSweep(t, ts, spec); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status = %d", resp.StatusCode)
+	}
+	srv.Close() // the first cell is gated, so the deadline passes
+	release <- struct{}{}
+	p := waitSweepFinished(t, ts, "sweep-1")
+	if p.Computed != 1 || p.Skipped != 2 || p.Failed != 0 {
+		t.Errorf("progress after the drain deadline = %+v, want 1 computed + 2 skipped", p)
+	}
+}
+
+// TestIdleServerMakesNoClaims: the server's local slots wait on the
+// coordinator's work signal, so an idle server records no claims across
+// several poll intervals, and a one-cell sweep costs one claim.
+func TestIdleServerMakesNoClaims(t *testing.T) {
+	ts, srv := newTestServerWith(t, nil, Config{SweepWorkers: 4})
+	time.Sleep(3 * fabric.DefaultPoll)
+	if st := srv.coord.Stats(); st.Claims != 0 {
+		t.Fatalf("idle server made %d claims", st.Claims)
+	}
+	postSweep(t, ts, oneCellSpec)
+	waitSweepFinished(t, ts, "sweep-1")
+	if st := srv.coord.Stats(); st.Claims != 1 || st.Completes != 1 {
+		t.Errorf("stats after a one-cell sweep = %+v, want 1 claim", st)
+	}
+}
+
 // TestSweepListEndpoint pins GET /sweeps: every retained sweep in
 // submission order with its live progress.
 func TestSweepListEndpoint(t *testing.T) {

@@ -2,10 +2,11 @@
 // repository from a batch tool into a result service. Figure requests go
 // through the sweep.Cache, so the first request for a configuration
 // computes and checkpoints it and every later request streams the
-// checkpointed JSON bytes back unchanged; sweep submissions run
-// asynchronously — in-process on the sweep.Runner, or sharded across a
-// worker fleet when a fabric.Coordinator is attached — and report live
-// progress, including a Server-Sent-Events stream per sweep.
+// checkpointed JSON bytes back unchanged. Sweep submissions go to the
+// server's fabric.Coordinator and run asynchronously — on in-process
+// worker slots, or sharded across a worker fleet when a coordinator is
+// attached — and report live progress, including a Server-Sent-Events
+// stream per sweep.
 //
 // The server is hardened for heavy traffic: figure endpoints sit behind a
 // token-bucket rate limiter (429 + Retry-After under overload), sweep
@@ -63,7 +64,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -102,12 +105,14 @@ const (
 type Config struct {
 	// Cache answers figure requests and computes sweep cells (required).
 	Cache *sweep.Cache
-	// SweepWorkers bounds in-process sweep concurrency (0 = GOMAXPROCS).
-	// Ignored when a Coordinator is attached.
+	// SweepWorkers is the local slot budget: in-process sweep cells run
+	// concurrently on this many slots (0 = GOMAXPROCS). Ignored when a
+	// Coordinator is attached.
 	SweepWorkers int
-	// Coordinator, when non-nil, runs sweeps on the distributed fabric
+	// Coordinator, when non-nil, runs sweeps on its remote worker fleet
 	// instead of in-process, and mounts the worker + shared-store
-	// endpoints on this server.
+	// endpoints on this server. Nil gives the server its own coordinator
+	// with SweepWorkers local slots.
 	Coordinator *fabric.Coordinator
 	// FigureRPS rate-limits /figures/{id} with a token bucket refilled at
 	// this rate (0 = unlimited).
@@ -129,8 +134,8 @@ type Config struct {
 	// (0 = layout.DefaultRecompileThreshold).
 	RecompileThreshold float64
 	// Tracer, when non-nil, records spans for in-process sweep cells (and
-	// everything compiled/simulated under them). Nil disables tracing at
-	// zero cost.
+	// everything compiled/simulated under them), one fabric.cell span per
+	// cell with lane = slot. Nil disables tracing at zero cost.
 	Tracer *obs.Tracer
 	// PProf mounts the net/http/pprof profiling endpoints under
 	// /debug/pprof/ when true. Off by default: profiling handlers expose
@@ -139,22 +144,9 @@ type Config struct {
 	PProf bool
 }
 
-// runHandle abstracts a scheduled sweep; the in-process sweep.Run and
-// the fabric coordinator's distributed Sweep both satisfy it, which is
-// what lets every progress surface (status, list, SSE, drain) treat the
-// two identically.
-type runHandle interface {
-	Cells() []sweep.Cell
-	States() []sweep.CellState
-	Progress() sweep.Progress
-	Changed() <-chan struct{}
-	Done() <-chan struct{}
-	TraceID() uint64
-}
-
 // sweepRecord tracks one retained sweep.
 type sweepRecord struct {
-	run        runHandle
+	run        *fabric.Sweep
 	submitted  time.Time
 	finishedAt time.Time // zero while running; set by the watcher
 }
@@ -163,14 +155,14 @@ type sweepRecord struct {
 // New or NewWith; the zero value is not usable.
 type Server struct {
 	cache    *sweep.Cache
-	runner   *sweep.Runner
 	coord    *fabric.Coordinator
+	remote   bool // coord was attached for a worker fleet, not owned
 	limiter  *tokenBucket
 	maxRuns  int
 	ttl      time.Duration
 	drainFor time.Duration
 
-	ctx    context.Context // governs background sweeps
+	ctx    context.Context // governs the local slots and SSE streams
 	cancel context.CancelFunc
 
 	// reg is the server's own metrics registry: per-endpoint request
@@ -241,11 +233,18 @@ func NewWith(cfg Config) *Server {
 		}
 		limiter = newTokenBucket(cfg.FigureRPS, burst)
 	}
+	coord := cfg.Coordinator
+	if coord == nil {
+		coord = fabric.NewCoordinator(cfg.Cache.Store, fabric.Options{})
+		w := coord.LocalWorker(cfg.Cache, cfg.SweepWorkers)
+		w.Tracer = cfg.Tracer
+		go w.Run(ctx)
+	}
 	reg := obs.NewRegistry()
 	return &Server{
 		cache:    cfg.Cache,
-		runner:   &sweep.Runner{Cache: cfg.Cache, Workers: cfg.SweepWorkers, Tracer: cfg.Tracer},
-		coord:    cfg.Coordinator,
+		coord:    coord,
+		remote:   cfg.Coordinator != nil,
 		limiter:  limiter,
 		maxRuns:  maxRuns,
 		ttl:      ttl,
@@ -268,15 +267,16 @@ func NewWith(cfg Config) *Server {
 
 // Close drains the server: new sweep submissions are refused with 503
 // while in-flight sweeps run to completion (bounded by the configured
-// drain timeout), then background work is cancelled. Cells already
-// checkpointed stay in the store either way, so a later server over the
-// same store resumes whatever the drain window missed.
+// drain timeout), then the local slots are cancelled: once their
+// in-flight cells report, every cell still pending is marked skipped.
+// Cells already checkpointed stay in the store either way, so a later
+// server over the same store resumes whatever the drain window missed.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.mu.Lock()
 		s.draining = true
 		s.refreshLocked(time.Now())
-		active := make([]runHandle, 0, len(s.sweeps))
+		active := make([]*fabric.Sweep, 0, len(s.sweeps))
 		for _, rec := range s.sweeps {
 			if rec.finishedAt.IsZero() {
 				active = append(active, rec.run)
@@ -285,15 +285,18 @@ func (s *Server) Close() {
 		s.mu.Unlock()
 
 		deadline := time.After(s.drainFor)
+	drain:
 		for _, run := range active {
 			select {
 			case <-run.Done():
 			case <-deadline:
-				s.cancel()
-				return
+				break drain
 			}
 		}
 		s.cancel()
+		if !s.remote {
+			s.coord.Close()
+		}
 	})
 }
 
@@ -312,7 +315,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /sweeps/{id}/events", s.counted("sweeps.events", s.handleSweepEvents))
 	mux.HandleFunc("GET /healthz", s.counted("healthz", s.handleHealth))
 	mux.HandleFunc("GET /metrics", s.counted("metrics", s.handleMetrics))
-	if s.coord != nil {
+	if s.remote {
 		ch := s.coord.Handler()
 		mux.Handle("/fabric/", ch)
 		mux.Handle("/store/", ch)
@@ -378,23 +381,25 @@ func (s *Server) handleBackends(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, device.Backends())
 }
 
-// figureParams is the accepted /figures/{id} query vocabulary. Unknown
-// parameters are rejected rather than ignored: a typo (shot= for shots=)
-// must not silently serve — and cache — a different configuration.
-var figureParams = map[string]bool{
-	"seed": true, "shots": true, "instances": true, "maxdepth": true, "fast": true,
-	"backend": true, "engine": true,
-}
+// figureParams is the accepted /figures/{id} query vocabulary, sorted.
+// Unknown parameters are rejected rather than ignored: a typo (shot= for
+// shots=) must not silently serve — and cache — a different configuration.
+var figureParams = []string{"backend", "engine", "fast", "instances", "maxdepth", "seed", "shots"}
 
-// figureOptions binds the request's query parameters to run Options:
-// fast=1 starts from FastOptions (reduced axes), everything else from
-// DefaultOptions, with seed/shots/instances/maxdepth overriding per field.
-func figureOptions(r *http.Request) (experiments.Options, error) {
+// correlationParams is the accepted /backends/{id}/correlations query
+// vocabulary, sorted.
+var correlationParams = []string{"engine", "fast", "instances", "seed", "shots", "strategy"}
+
+// queryOptions binds the request's query parameters, which must all be in
+// the sorted vocabulary known, to run Options: fast=1 starts from
+// FastOptions (reduced axes), everything else from DefaultOptions, with
+// seed/shots/instances/maxdepth/backend/engine overriding per field.
+func queryOptions(r *http.Request, known []string) (experiments.Options, error) {
 	q := r.URL.Query()
 	opts := experiments.DefaultOptions()
 	for name := range q {
-		if !figureParams[name] {
-			return opts, fmt.Errorf("unknown parameter %q (known: backend, engine, fast, instances, maxdepth, seed, shots)", name)
+		if !slices.Contains(known, name) {
+			return opts, fmt.Errorf("unknown parameter %q (known: %s)", name, strings.Join(known, ", "))
 		}
 	}
 	if fast, err := boolParam(q.Get("fast")); err != nil {
@@ -464,7 +469,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown experiment %q (see /experiments)", id)
 		return
 	}
-	opts, err := figureOptions(r)
+	opts, err := queryOptions(r, figureParams)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -495,13 +500,6 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Casq-Cache", "miss")
 	}
 	w.Write(data)
-}
-
-// correlationParams is the accepted /backends/{id}/correlations query
-// vocabulary. Unknown parameters are rejected like on /figures/{id}.
-var correlationParams = map[string]bool{
-	"seed": true, "shots": true, "instances": true, "fast": true,
-	"strategy": true, "engine": true,
 }
 
 // correlationDescriptor is the content-addressed cache key of one
@@ -536,48 +534,10 @@ func (s *Server) handleCorrelations(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown backend %q (see /backends)", id)
 		return
 	}
-	q := r.URL.Query()
-	for name := range q {
-		if !correlationParams[name] {
-			writeError(w, http.StatusBadRequest,
-				"unknown parameter %q (known: engine, fast, instances, seed, shots, strategy)", name)
-			return
-		}
-	}
-	opts := experiments.DefaultOptions()
-	if fast, err := boolParam(q.Get("fast")); err != nil {
-		writeError(w, http.StatusBadRequest, "fast: %v", err)
+	opts, err := queryOptions(r, correlationParams)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
-	} else if fast {
-		opts = experiments.FastOptions()
-	}
-	for _, p := range []struct {
-		name string
-		dst  *int
-	}{{"shots", &opts.Shots}, {"instances", &opts.Instances}} {
-		if v := q.Get(p.name); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				writeError(w, http.StatusBadRequest, "%s: not a non-negative integer: %q", p.name, v)
-				return
-			}
-			*p.dst = n
-		}
-	}
-	if v := q.Get("seed"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "seed: not an integer: %q", v)
-			return
-		}
-		opts.Seed = n
-	}
-	if v := q.Get("engine"); v != "" {
-		if !exec.ValidEngine(v) {
-			writeError(w, http.StatusBadRequest, "engine: unknown %q (known: %v)", v, exec.EngineNames())
-			return
-		}
-		opts.Engine = v
 	}
 	// Pre-validate the engine against the backend's capabilities: an
 	// explicit statevector request on a device beyond the amplitude limit
@@ -589,7 +549,7 @@ func (s *Server) handleCorrelations(w http.ResponseWriter, r *http.Request) {
 			id, info.NQubits, opts.Engine, info.Engines)
 		return
 	}
-	strategy := q.Get("strategy")
+	strategy := r.URL.Query().Get("strategy")
 
 	desc := correlationDescriptor{
 		Rev:     1,
@@ -704,13 +664,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 
-	var run runHandle
-	var err error
-	if s.coord != nil {
-		run, err = s.coord.Submit(spec)
-	} else {
-		run, err = s.runner.Start(s.ctx, spec)
-	}
+	run, err := s.coord.Submit(spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -831,9 +785,9 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	flusher.Flush()
 
 	run := rec.run
-	// Every event echoes the run's trace id (assigned by the in-process
-	// runner or the fabric coordinator), so a client can correlate the
-	// sweep with spans recorded anywhere in the fleet.
+	// Every event echoes the sweep's trace id (assigned by the
+	// coordinator), so a client can correlate the sweep with spans
+	// recorded anywhere in the fleet.
 	trace := fmt.Sprintf("%016x", run.TraceID())
 	var last *sweep.Progress
 	seq := 0
@@ -958,7 +912,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	body.Store = s.cache.Store.Stats()
 	body.Layouts = s.layoutStats()
-	if s.coord != nil {
+	if s.remote {
 		st := s.coord.Stats()
 		body.Fabric = &st
 	}

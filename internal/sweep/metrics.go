@@ -7,15 +7,14 @@ import "casq/internal/obs"
 // terminal (and leased) state, so a dashboard distinguishes cache hits
 // from fresh computes from failures at a glance.
 var (
-	mRuns  = obs.Default().Counter("casq_sweep_runs_total", "Sweeps started (in-process runs and fabric submissions).")
+	mRuns  = obs.Default().Counter("casq_sweep_runs_total", "Sweeps submitted.")
 	mCells = obs.Default().CounterVec("casq_sweep_cells_total", "Sweep cells entering each lifecycle state.", "state")
 )
 
-// RecordCellState counts one cell-state transition on the shared
-// casq_sweep_cells_total family. The fabric coordinator records its
-// transitions through this same helper, so local and distributed cells
-// aggregate into one metric regardless of where they ran.
+// RecordCellState counts one cell-state transition on the
+// casq_sweep_cells_total family; the fabric coordinator records every
+// transition, wherever the cell ran.
 func RecordCellState(st CellState) { mCells.With(string(st)).Inc() }
 
-// RecordRun counts one sweep submission (in-process or fabric).
+// RecordRun counts one sweep submission.
 func RecordRun() { mRuns.Inc() }

@@ -1,25 +1,24 @@
 // Package sweep turns the experiment catalog into schedulable batch work.
 // A Spec names experiment ids and a Grid of option axes (seeds, shot
 // budgets, twirl instances, depth clamps); Cells expands the grid into the
-// cartesian product of concrete (id, Options) cells. A Runner executes
-// cells with bounded concurrency through a Cache, which consults the
-// content-addressed store before computing and checkpoints every computed
-// figure back into it — so an interrupted sweep, restarted with the same
-// spec, resumes from its checkpoints and recomputes nothing that already
-// finished, and a repeated figure request is answered bit-identically from
-// cache.
+// cartesian product of concrete (id, Options) cells. Every cell is
+// computed through a Cache, which consults the content-addressed store
+// before computing and checkpoints every computed figure back into it —
+// so an interrupted sweep, restarted with the same spec, resumes from its
+// checkpoints and recomputes nothing that already finished, and a
+// repeated figure request is answered bit-identically from cache. The
+// fabric package schedules the cells, on in-process slots or on remote
+// workers; this package defines the cell, its cache, and the progress
+// model both report.
 package sweep
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"casq/internal/exec"
 	"casq/internal/experiments"
-	"casq/internal/obs"
 	"casq/internal/store"
 )
 
@@ -330,21 +329,19 @@ func (s Spec) Cells() ([]Cell, error) {
 	return cells, nil
 }
 
-// CellState is the lifecycle of one cell within a Run.
+// CellState is the lifecycle of one cell within a sweep.
 type CellState string
 
 const (
 	CellPending  CellState = "pending"
-	CellLeased   CellState = "leased"   // claimed by a fabric worker, not yet reported
+	CellLeased   CellState = "leased"   // claimed by a worker slot, not yet reported
 	CellCached   CellState = "cached"   // answered from the store
 	CellComputed CellState = "computed" // freshly computed and checkpointed
 	CellFailed   CellState = "failed"
-	CellSkipped  CellState = "skipped" // sweep interrupted before the cell ran
+	CellSkipped  CellState = "skipped" // local slots stopped before the cell ran
 )
 
-// Progress is a snapshot of a running or finished sweep. It is the shared
-// aggregation model for both in-process runs and the distributed fabric
-// (which additionally reports Leased cells).
+// Progress is a snapshot of a running or finished sweep.
 type Progress struct {
 	Total    int  `json:"total"`
 	Done     int  `json:"done"` // cached + computed
@@ -352,206 +349,8 @@ type Progress struct {
 	Computed int  `json:"computed"`
 	Failed   int  `json:"failed"`
 	Skipped  int  `json:"skipped"`
-	Leased   int  `json:"leased,omitempty"` // fabric cells out on a worker lease
+	Leased   int  `json:"leased,omitempty"` // cells computing under a worker lease
 	Finished bool `json:"finished"`
 	// Err is the first failure message, if any.
 	Err string `json:"err,omitempty"`
-}
-
-// Run is one scheduled sweep execution.
-type Run struct {
-	cells   []Cell
-	traceID uint64
-
-	mu     sync.Mutex
-	states []CellState
-	first  string        // first error message
-	watch  chan struct{} // closed and replaced on every state change
-
-	done chan struct{}
-}
-
-// Cells returns the run's expanded cells (shared slice; read-only).
-func (r *Run) Cells() []Cell { return r.cells }
-
-// TraceID returns the run's trace identity: every cell span this run
-// records carries it, and the serve layer echoes it in SSE progress
-// events so a client can correlate a sweep with its trace.
-func (r *Run) TraceID() uint64 { return r.traceID }
-
-// Done returns a channel closed when every cell has reached a terminal
-// state.
-func (r *Run) Done() <-chan struct{} { return r.done }
-
-// Wait blocks until the run finishes and returns its final progress.
-func (r *Run) Wait() Progress {
-	<-r.done
-	return r.Progress()
-}
-
-// Changed returns a channel closed on the next state change (including
-// the final transition to finished). To watch a run without missing
-// updates, fetch the channel before snapshotting Progress, then wait on
-// it: any change after the snapshot closes the returned channel. This is
-// what the serve layer's SSE endpoint polls.
-func (r *Run) Changed() <-chan struct{} {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.watch
-}
-
-// notifyLocked wakes every Changed waiter. Callers hold r.mu.
-func (r *Run) notifyLocked() {
-	close(r.watch)
-	r.watch = make(chan struct{})
-}
-
-// Progress returns a consistent snapshot of the run.
-func (r *Run) Progress() Progress {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p := Progress{Total: len(r.cells), Err: r.first}
-	for _, st := range r.states {
-		switch st {
-		case CellCached:
-			p.Cached++
-		case CellComputed:
-			p.Computed++
-		case CellFailed:
-			p.Failed++
-		case CellSkipped:
-			p.Skipped++
-		}
-	}
-	p.Done = p.Cached + p.Computed
-	select {
-	case <-r.done:
-		p.Finished = true
-	default:
-	}
-	return p
-}
-
-// States returns a copy of the per-cell states, index-aligned with Cells.
-func (r *Run) States() []CellState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]CellState, len(r.states))
-	copy(out, r.states)
-	return out
-}
-
-func (r *Run) set(i int, st CellState, err error) {
-	r.mu.Lock()
-	r.states[i] = st
-	if err != nil && r.first == "" {
-		r.first = err.Error()
-	}
-	r.notifyLocked()
-	r.mu.Unlock()
-	RecordCellState(st)
-}
-
-// Runner schedules sweeps through a cache with bounded concurrency.
-type Runner struct {
-	Cache *Cache
-	// Workers is the sweep's total parallelism budget; 0 means GOMAXPROCS.
-	// Like the executor's unified budget, it is split between cell-level
-	// fan-out and each cell's own executor: a wide sweep runs many cells
-	// whose Options.Workers default to 1, a narrow sweep hands the spare
-	// budget to each cell's executor. An explicit cell Options.Workers is
-	// respected (it never changes results — only parallelism).
-	Workers int
-	// Tracer records one span per cell (lane = sweep worker index), all
-	// stamped with the run's TraceID, and is threaded into each cell's
-	// Options so compile-pass and engine spans nest under it. Nil (the
-	// default) disables tracing at zero cost.
-	Tracer *obs.Tracer
-}
-
-// Start expands the spec and launches its cells in the background,
-// returning the Run handle immediately. Cells whose results are already
-// checkpointed in the store are marked cached without recomputation —
-// restarting an interrupted sweep therefore resumes where it stopped.
-// Cancelling ctx stops claiming new cells; cells never started are marked
-// skipped.
-func (r *Runner) Start(ctx context.Context, spec Spec) (*Run, error) {
-	cells, err := spec.Cells()
-	if err != nil {
-		return nil, err
-	}
-	run := &Run{
-		cells:   cells,
-		traceID: obs.NextTraceID(),
-		states:  make([]CellState, len(cells)),
-		watch:   make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	RecordRun()
-	for i := range run.states {
-		run.states[i] = CellPending
-	}
-	// Split one parallelism budget between cell fan-out and each cell's
-	// executor (mirroring exec's unified worker budget): running
-	// GOMAXPROCS cells that each default to GOMAXPROCS simulator workers
-	// would oversubscribe the machine quadratically.
-	budget := r.Workers
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	workers := budget
-	if workers > len(cells) {
-		workers = max(1, len(cells))
-	}
-	perCell := max(1, budget/workers)
-
-	indices := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(lane int) {
-			defer wg.Done()
-			for i := range indices {
-				if ctx.Err() != nil {
-					run.set(i, CellSkipped, nil)
-					continue
-				}
-				cell := cells[i]
-				if cell.Opts.Workers == 0 {
-					cell.Opts.Workers = perCell
-				}
-				var sp obs.Span
-				if r.Tracer.Enabled() {
-					sp = r.Tracer.Start("sweep.cell:" + cell.ID).WithLane(lane).WithTrace(run.traceID)
-					if cell.Opts.Tracer == nil {
-						cell.Opts.Tracer = r.Tracer
-					}
-				}
-				_, hit, err := r.Cache.Figure(cell)
-				sp.End()
-				switch {
-				case err != nil:
-					run.set(i, CellFailed, err)
-				case hit:
-					run.set(i, CellCached, nil)
-				default:
-					run.set(i, CellComputed, nil)
-				}
-			}
-		}(w + 1)
-	}
-	go func() {
-		for i := range cells {
-			indices <- i
-		}
-		close(indices)
-		wg.Wait()
-		// Close done before the final notification: a watcher woken by the
-		// last change must observe Progress().Finished == true.
-		run.mu.Lock()
-		close(run.done)
-		run.notifyLocked()
-		run.mu.Unlock()
-	}()
-	return run, nil
 }

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -134,128 +133,11 @@ func TestCacheHitBitIdentity(t *testing.T) {
 	}
 }
 
-// fakeFigure is a cheap deterministic compute for scheduler tests.
+// fakeFigure is a cheap deterministic compute for cache tests.
 func fakeFigure(id string, opts experiments.Options) (experiments.Figure, error) {
 	fig := experiments.Figure{ID: id, Title: "fake"}
 	fig.AddSeries("s", []float64{0}, []float64{float64(opts.Seed)})
 	return fig, nil
-}
-
-func TestRunnerRunsAllCells(t *testing.T) {
-	var computes atomic.Int32
-	cache := memCache(t, func(id string, opts experiments.Options) (experiments.Figure, error) {
-		computes.Add(1)
-		return fakeFigure(id, opts)
-	})
-	spec := Spec{
-		IDs:  []string{"fig5", "fig6", "table1"},
-		Grid: Grid{Seeds: []int64{1, 2, 3, 4}},
-		Base: experiments.FastOptions(),
-	}
-	run, err := (&Runner{Cache: cache, Workers: 4}).Start(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := run.Wait()
-	if !p.Finished || p.Total != 12 || p.Computed != 12 || p.Failed != 0 || p.Skipped != 0 {
-		t.Fatalf("progress = %+v", p)
-	}
-	if got := computes.Load(); got != 12 {
-		t.Errorf("computed %d cells, want 12", got)
-	}
-	// Re-running the same sweep touches the store, not the harnesses.
-	run2, _ := (&Runner{Cache: cache, Workers: 4}).Start(context.Background(), spec)
-	p2 := run2.Wait()
-	if p2.Cached != 12 || p2.Computed != 0 {
-		t.Fatalf("second run progress = %+v", p2)
-	}
-	if got := computes.Load(); got != 12 {
-		t.Errorf("second run recomputed: %d total computes", got)
-	}
-}
-
-// TestResumeAfterInterrupt cancels a sweep mid-flight and restarts it:
-// finished cells must come back from their checkpoints, and the total
-// number of harness invocations across both runs must equal the cell
-// count — nothing is computed twice.
-func TestResumeAfterInterrupt(t *testing.T) {
-	dir := t.TempDir()
-	openCache := func(computes *atomic.Int32, cancelAfter int32, cancel context.CancelFunc) *Cache {
-		st, err := store.Open(dir, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &Cache{Store: st, Compute: func(id string, opts experiments.Options) (experiments.Figure, error) {
-			if computes.Add(1) == cancelAfter {
-				cancel()
-			}
-			return fakeFigure(id, opts)
-		}}
-	}
-	spec := Spec{
-		IDs:  []string{"fig5"},
-		Grid: Grid{Seeds: []int64{1, 2, 3, 4, 5, 6, 7, 8}},
-		Base: experiments.FastOptions(),
-	}
-
-	var computes atomic.Int32
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	// Workers=1 so the interrupt point is deterministic: the third compute
-	// cancels, the claimed cell still completes and checkpoints.
-	run, err := (&Runner{Cache: openCache(&computes, 3, cancel), Workers: 1}).Start(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := run.Wait()
-	if p.Computed != 3 || p.Skipped != 5 || p.Finished != true {
-		t.Fatalf("interrupted progress = %+v", p)
-	}
-
-	// "New process": fresh store over the same directory, fresh cache.
-	run2, err := (&Runner{Cache: openCache(&computes, -1, func() {}), Workers: 1}).Start(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2 := run2.Wait()
-	if p2.Cached != 3 || p2.Computed != 5 || p2.Failed != 0 {
-		t.Fatalf("resumed progress = %+v", p2)
-	}
-	if got := computes.Load(); got != 8 {
-		t.Errorf("total computes across interrupt+resume = %d, want 8", got)
-	}
-}
-
-func TestRunnerReportsFailure(t *testing.T) {
-	boom := errors.New("boom")
-	cache := memCache(t, func(id string, opts experiments.Options) (experiments.Figure, error) {
-		if opts.Seed == 2 {
-			return experiments.Figure{}, boom
-		}
-		return fakeFigure(id, opts)
-	})
-	spec := Spec{IDs: []string{"fig5"}, Grid: Grid{Seeds: []int64{1, 2, 3}}, Base: experiments.FastOptions()}
-	run, err := (&Runner{Cache: cache, Workers: 2}).Start(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := run.Wait()
-	if p.Failed != 1 || p.Computed != 2 {
-		t.Fatalf("progress = %+v", p)
-	}
-	if p.Err == "" {
-		t.Error("first error not surfaced")
-	}
-	states := run.States()
-	var failed int
-	for _, st := range states {
-		if st == CellFailed {
-			failed++
-		}
-	}
-	if failed != 1 {
-		t.Errorf("states = %v", states)
-	}
 }
 
 func TestCacheComputeErrorNotCheckpointed(t *testing.T) {
@@ -422,45 +304,5 @@ func TestCellKeyIgnoresIrrelevantMaxDepth(t *testing.T) {
 	kc, _ := c.Key()
 	if kd, _ := d.Key(); kd == kc {
 		t.Error("MaxDepth ignored for a depth-swept experiment")
-	}
-}
-
-// TestSweepFigCEngineGrid runs the correlation-spectroscopy spec over the
-// engine axis with the real harness: each engine is a distinct cell with
-// its own checkpoint, and rerunning the grid is answered entirely from
-// the store.
-func TestSweepFigCEngineGrid(t *testing.T) {
-	var computes atomic.Int32
-	cache := memCache(t, func(id string, opts experiments.Options) (experiments.Figure, error) {
-		computes.Add(1)
-		return experiments.Run(id, opts)
-	})
-	base := experiments.FastOptions()
-	base.Shots = 128
-	base.Instances = 2
-	spec := Spec{
-		IDs:  []string{"figC1"},
-		Grid: Grid{Engines: []string{"statevector", "stab"}},
-		Base: base,
-	}
-	run, err := (&Runner{Cache: cache, Workers: 2}).Start(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := run.Wait()
-	if !p.Finished || p.Total != 2 || p.Computed != 2 || p.Failed != 0 {
-		t.Fatalf("progress = %+v", p)
-	}
-	run2, _ := (&Runner{Cache: cache, Workers: 2}).Start(context.Background(), spec)
-	if p2 := run2.Wait(); p2.Cached != 2 || p2.Computed != 0 {
-		t.Fatalf("second run progress = %+v", p2)
-	}
-	if got := computes.Load(); got != 2 {
-		t.Errorf("computed %d cells across both runs, want 2", got)
-	}
-	// The spectroscopy specs do not honor an engine they don't declare.
-	bad := Spec{IDs: []string{"figC1"}, Grid: Grid{Engines: []string{"nosuch"}}, Base: base}
-	if _, err := bad.Cells(); err == nil {
-		t.Error("unknown engine must fail expansion")
 	}
 }
