@@ -93,21 +93,21 @@ func TestContextAwareSuppressesAllPairs(t *testing.T) {
 	if _, err := Insert(c, dev, DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
+	it := toggling.NewIntegrator(dev, dev.NQubits)
 	for li := range c.Layers {
 		l := &c.Layers[li]
 		if l.Kind != circuit.TwoQubitLayer {
 			continue
 		}
-		m := toggling.BuildLayerModel(l, dev)
-		res := toggling.Integrate(m, dev, true)
-		for q, phi := range res.PhiZ {
+		it.Layer(l, true, nil)
+		for q, phi := range it.PhiZ {
 			if phi > 1e-9 || phi < -1e-9 {
 				t.Errorf("surviving Z on q%d: %v", q, phi)
 			}
 		}
-		for e, phi := range res.PhiZZ {
+		for i, phi := range it.PhiZZ {
 			if phi > 1e-9 || phi < -1e-9 {
-				t.Errorf("surviving ZZ on %v: %v", e, phi)
+				t.Errorf("surviving ZZ on %v: %v", it.Edges[i], phi)
 			}
 		}
 	}

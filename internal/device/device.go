@@ -189,6 +189,13 @@ func (d *Device) Validate() error {
 			return fmt.Errorf("device: bad edge %v", e)
 		}
 	}
+	// Stark terms are indexed by qubit wherever a driven qubit shifts its
+	// neighbours, so an entry off the device would panic there.
+	for s := range d.Stark {
+		if !inRange(s.Src) || !inRange(s.Dst) {
+			return fmt.Errorf("device: Stark entry %d->%d outside %d qubits", s.Src, s.Dst, d.NQubits)
+		}
+	}
 	for _, e := range d.Edges {
 		dir, ok := d.ECRDir[e]
 		if !ok {

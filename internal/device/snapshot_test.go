@@ -250,3 +250,19 @@ func TestTopologyFamilies(t *testing.T) {
 		}
 	}
 }
+
+// TestFromSnapshotRejectsOffDeviceStark feeds snapshots whose Stark table
+// names a qubit outside the device: import must fail rather than hand back
+// a device on which the simulators index past their per-qubit state.
+func TestFromSnapshotRejectsOffDeviceStark(t *testing.T) {
+	for _, bad := range []DirectedRate{{Src: 0, Dst: 99, Hz: 2e3}, {Src: 3, Dst: 1, Hz: 2e3}, {Src: -1, Dst: 1, Hz: 2e3}} {
+		s := NewLine("stark3", 3, DefaultOptions()).Snapshot()
+		s.Stark = append(s.Stark, bad)
+		if _, err := FromSnapshot(s); err == nil {
+			t.Errorf("Stark entry %d->%d on 3 qubits accepted", bad.Src, bad.Dst)
+		}
+	}
+	if _, err := FromSnapshot(NewLine("stark3", 3, DefaultOptions()).Snapshot()); err != nil {
+		t.Errorf("valid snapshot rejected: %v", err)
+	}
+}

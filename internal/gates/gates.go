@@ -311,3 +311,22 @@ func AbsorbRzzIntoUcan(alpha, beta, gamma, delta float64) (a, b, g float64) {
 // AbsorbRzzIntoRzz merges the compensation of an Rzz(delta) error into an
 // adjacent Rzz(theta) gate: the combined gate is Rzz(theta - delta).
 func AbsorbRzzIntoRzz(theta, delta float64) float64 { return theta - delta }
+
+// Key identifies a gate kind with its parameters, for memoizing per-gate
+// tables (matrices, Clifford conjugations) across instructions.
+type Key struct {
+	Kind Kind
+	N    int        // number of parameters
+	P    [3]float64 // the parameters, zero-padded
+}
+
+// KeyOf returns the memo key of gate g with params; ok is false for more
+// than three parameters, which have no key.
+func KeyOf(g Kind, params []float64) (k Key, ok bool) {
+	if len(params) > len(k.P) {
+		return k, false
+	}
+	k.Kind, k.N = g, len(params)
+	copy(k.P[:], params)
+	return k, true
+}

@@ -130,37 +130,63 @@ func TestExpectationsBitIdenticalAcrossSimWorkers(t *testing.T) {
 
 // TestCompileCacheDetectsDeviceMutation pins the cache-key contract: a
 // Runner re-running the same circuit must notice in-place device
-// recalibration (the Fig. 8 sweep retunes dev.ZZ per point) and recompile
-// instead of serving stale crosstalk physics.
+// recalibration (the Fig. 8 sweep retunes dev.ZZ per point) of anything
+// the compiled schedule walk bakes in — ZZ and Stark rates, gate-error
+// probabilities — and recompile instead of serving stale physics.
 func TestCompileCacheDetectsDeviceMutation(t *testing.T) {
-	dev := goldenDevice()
-	c := models.BuildFloquetIsing(4, 2)
-	sched.Schedule(c, dev)
-	cfg := sim.CoherentOnly(1)
-	cfg.Workers = 1
-	r := sim.New(dev, cfg)
-	obs := []sim.ObsSpec{{0: 'X', 3: 'X'}}
-	before, err := r.Expectations(c, obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm the cache, then retune every ZZ rate in place.
-	for e := range dev.ZZ {
-		dev.ZZ[e] *= 3
-	}
-	after, err := r.Expectations(c, obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after[0] == before[0] {
-		t.Errorf("tripled ZZ rates left <X0X3> = %v unchanged: stale compile cache", after[0])
-	}
-	fresh, err := sim.New(dev, cfg).Expectations(c, obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after[0] != fresh[0] {
-		t.Errorf("cached runner %v != fresh runner %v after device mutation", after[0], fresh[0])
+	for _, m := range []struct {
+		name   string
+		mutate func(*device.Device)
+	}{
+		{"zz", func(d *device.Device) {
+			for e := range d.ZZ {
+				d.ZZ[e] *= 3
+			}
+		}},
+		{"stark", func(d *device.Device) {
+			for k := range d.Stark {
+				d.Stark[k] *= 30
+			}
+		}},
+		{"err1q", func(d *device.Device) {
+			for q := range d.Err1Q {
+				d.Err1Q[q] = 0.2
+			}
+		}},
+		{"err2q", func(d *device.Device) {
+			for _, e := range d.Edges {
+				d.Err2Q[e] = 0.3
+			}
+		}},
+	} {
+		dev := goldenDevice()
+		c := models.BuildFloquetIsing(4, 2)
+		sched.Schedule(c, dev)
+		cfg := sim.CoherentOnly(64)
+		cfg.EnableGateErr = true
+		cfg.Workers = 1
+		r := sim.New(dev, cfg)
+		obs := []sim.ObsSpec{{0: 'X', 3: 'X'}}
+		before, err := r.Expectations(c, obs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Warm the cache, then recalibrate in place.
+		m.mutate(dev)
+		after, err := r.Expectations(c, obs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after[0] == before[0] {
+			t.Errorf("%s: recalibration left <X0X3> = %v unchanged: stale compile cache", m.name, after[0])
+		}
+		fresh, err := sim.New(dev, cfg).Expectations(c, obs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after[0] != fresh[0] {
+			t.Errorf("%s: cached runner %v != fresh runner %v after device mutation", m.name, after[0], fresh[0])
+		}
 	}
 }
 

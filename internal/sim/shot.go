@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"casq/internal/linalg"
+	"casq/internal/toggling"
 )
 
 // shot holds per-trajectory state: the statevector, classical bits, the
@@ -53,15 +54,15 @@ func (r *Runner) newShot(cp *compiled) *shot {
 		psi:        linalg.NewVector(cp.nq),
 		cbits:      make([]int, cp.ncb),
 		phiZ:       make([]float64, cp.nq),
-		phiZZ:      make([]float64, len(cp.edges)),
+		phiZZ:      make([]float64, len(cp.walk.Edges)),
 		omegaExtra: make([]float64, cp.nq),
 		zMasks:     make([]int, 0, cp.nq),
 		zEven:      make([]complex128, 0, cp.nq),
 		zOdd:       make([]complex128, 0, cp.nq),
-		zzMasksA:   make([]int, 0, len(cp.edges)),
-		zzMasksB:   make([]int, 0, len(cp.edges)),
-		zzEven:     make([]complex128, 0, len(cp.edges)),
-		zzOdd:      make([]complex128, 0, len(cp.edges)),
+		zzMasksA:   make([]int, 0, len(cp.walk.Edges)),
+		zzMasksB:   make([]int, 0, len(cp.walk.Edges)),
+		zzEven:     make([]complex128, 0, len(cp.walk.Edges)),
+		zzOdd:      make([]complex128, 0, len(cp.walk.Edges)),
 	}
 	return s
 }
@@ -95,10 +96,10 @@ func (s *shot) reset(seed int64) {
 			if s.rng.Intn(2) == 1 {
 				eps = -1
 			}
-			w += eps * r.Dev.Delta[q] * hzToRadPerNs
+			w += eps * r.Dev.Delta[q] * toggling.HzToRadPerNs
 		}
 		if r.Cfg.EnableQuasistatic && q < len(r.Dev.Quasistatic) {
-			w += s.rng.NormFloat64() * r.Dev.Quasistatic[q] * hzToRadPerNs
+			w += s.rng.NormFloat64() * r.Dev.Quasistatic[q] * toggling.HzToRadPerNs
 		}
 		s.omegaExtra[q] = w
 	}
@@ -191,64 +192,76 @@ func (s *shot) run(cp *compiled) {
 	}
 }
 
+// runLayer replays the layer's events, integrating the coherent crosstalk
+// into the phase accumulator between them.
 func (s *shot) runLayer(l *layerExec) {
-	cur := l.start
-	for i := range l.events {
-		ev := &l.events[i]
-		s.accumulate(l, cur, ev.t)
-		cur = ev.t
-		s.exec(l, ev)
+	cur := l.Start
+	for i := range l.Events {
+		ev := &l.Events[i]
+		s.accumulate(l, cur, ev.T)
+		cur = ev.T
+		s.exec(ev, &l.mats[i])
 	}
-	s.accumulate(l, cur, l.start+l.dur)
-	if s.r.Cfg.EnableT1T2 && l.dur > 0 {
-		s.applyRelaxation(l.dur)
+	s.accumulate(l, cur, l.Start+l.Dur)
+	if s.r.Cfg.EnableT1T2 && l.Dur > 0 {
+		s.applyRelaxation(l.Dur)
 	}
 }
 
-func (s *shot) exec(l *layerExec, ev *event) {
-	if ev.in != nil && ev.in.Cond != nil {
-		c := ev.in.Cond
-		if s.cbits[c.Bit] != c.Value {
-			return
-		}
+// exec applies one event to the trajectory; mat is the event's matrix
+// from the compiled layer.
+func (s *shot) exec(ev *toggling.Event, mat *linalg.Matrix) {
+	if c := ev.In.Cond; c != nil && s.cbits[c.Bit] != c.Value {
+		return
 	}
-	switch ev.kind {
-	case opVirtualZ:
-		s.phiZ[ev.q0] += ev.angle
-	case opDiagRZZ:
-		s.phiZZ[ev.edge] += ev.angle
+	switch ev.Kind {
+	case toggling.EvVirtualZ:
+		s.phiZ[ev.Q0] += ev.Angle
+	case toggling.EvRZZ:
+		s.phiZZ[ev.Edge] += ev.Angle
 		// Rzz(theta) = exp(-i theta/2 ZZ) carries no single-qubit part.
-	case opPauliX:
-		s.flipAccumulator(ev.q0)
-		s.psi.Apply1Q(ev.mat, ev.q0)
-		if ev.errProb > 0 {
-			s.depolarize1Q(ev.q0, ev.errProb)
+	case toggling.EvPulse:
+		s.flipAccumulator(ev.Q0)
+		s.psi.Apply1Q(*mat, ev.Q0)
+		if ev.ErrP > 0 {
+			s.depolarize1Q(ev.Q0, ev.ErrP)
 		}
-	case opEchoFlip:
-		s.flipAccumulator(ev.q0)
-	case opApply1Q:
-		s.flushQubit(ev.q0)
-		s.psi.Apply1Q(ev.mat, ev.q0)
-		if ev.errProb > 0 {
-			s.depolarize1Q(ev.q0, ev.errProb)
+	case toggling.EvEcho:
+		s.flipAccumulator(ev.Q0)
+		if mat.N != 0 {
+			// An ECR runs as ZX(pi/4) -> X(ctrl) -> ZX(-pi/4): its echo is
+			// a physical X on the control followed by the second half.
+			s.psi.Apply1Q(xMat, ev.Q0)
+			s.apply2Q(mat, ev.Q0, ev.Q1)
 		}
-	case opApply2Q:
-		s.flushQubit(ev.q0)
-		s.flushQubit(ev.q1)
-		// Gate matrices use the |first operand, second operand> basis, so
-		// the first operand is the high bit of the 4x4 index.
-		s.psi.Apply2Q(ev.mat, ev.q0, ev.q1)
-	case opGateErr1Q:
-		s.depolarize1Q(ev.q0, ev.errProb)
-	case opGateErr2Q:
-		s.depolarize2Q(ev.q0, ev.q1, ev.errProb)
-	case opMeasure:
-		s.measure(ev.q0, ev.in.CBit)
+	case toggling.EvGate1Q:
+		s.flushQubit(ev.Q0)
+		s.psi.Apply1Q(*mat, ev.Q0)
+		if ev.ErrP > 0 {
+			s.depolarize1Q(ev.Q0, ev.ErrP)
+		}
+	case toggling.EvGate2Q:
+		s.apply2Q(mat, ev.Q0, ev.Q1)
+	case toggling.EvErr2Q:
+		s.depolarize2Q(ev.Q0, ev.Q1, ev.ErrP)
+	case toggling.EvMeasure:
+		s.measure(ev.Q0, ev.In.CBit)
 	}
+}
+
+// apply2Q flushes both operands and applies a two-qubit matrix. Gate
+// matrices use the |first operand, second operand> basis, so the first
+// operand is the high bit of the 4x4 index.
+func (s *shot) apply2Q(mat *linalg.Matrix, q0, q1 int) {
+	s.flushQubit(q0)
+	s.flushQubit(q1)
+	s.psi.Apply2Q(*mat, q0, q1)
 }
 
 // accumulate integrates the coherent crosstalk Hamiltonian over [from, to]
-// within the layer's context into the pending phase accumulator.
+// within the layer's context into the pending phase accumulator: the
+// walker's ZZ and Stark terms, then the shot's sampled parity and
+// quasi-static detuning.
 func (s *shot) accumulate(l *layerExec, from, to float64) {
 	dt := to - from
 	if dt <= 0 {
@@ -256,43 +269,14 @@ func (s *shot) accumulate(l *layerExec, from, to float64) {
 	}
 	cfg := &s.r.Cfg
 	res := s.r.Dev.RotaryResidual
-	if cfg.EnableZZ {
-		for i, e := range s.cp.edges {
-			w := s.cp.omega[i]
-			if w == 0 || l.gatePair[i] {
-				continue
-			}
-			fa, fb := 1.0, 1.0
-			if l.rotary[e.A] {
-				fa = res
-			}
-			if l.rotary[e.B] {
-				fb = res
-			}
-			s.phiZZ[i] += w * dt * fa * fb
-			s.phiZ[e.A] -= w * dt * fa
-			s.phiZ[e.B] -= w * dt * fb
-		}
-	}
-	if cfg.EnableStark {
-		for _, st := range s.cp.starks {
-			if !l.driven[st.src] || l.active[st.dst] {
-				continue
-			}
-			f := 1.0
-			if l.rotary[st.dst] {
-				f = res
-			}
-			s.phiZ[st.dst] += st.w * dt * f
-		}
-	}
+	s.cp.walk.Accumulate(&l.LayerContext, s.phiZ, s.phiZZ, dt, res, cfg.EnableZZ, cfg.EnableStark)
 	if cfg.EnableParity || cfg.EnableQuasistatic {
 		for q := 0; q < s.cp.nq; q++ {
 			w := s.omegaExtra[q]
 			if w == 0 {
 				continue
 			}
-			if l.rotary[q] {
+			if l.Rotary[q] {
 				w *= res
 			}
 			s.phiZ[q] += w * dt
@@ -303,10 +287,7 @@ func (s *shot) accumulate(l *layerExec, from, to float64) {
 // flipAccumulator conjugates the pending diagonal phases on q through an X
 // (or Y) pulse: Z_q -> -Z_q.
 func (s *shot) flipAccumulator(q int) {
-	s.phiZ[q] = -s.phiZ[q]
-	for _, ei := range s.cp.qEdges[q] {
-		s.phiZZ[ei] = -s.phiZZ[ei]
-	}
+	s.cp.walk.Flip(q, s.phiZ, s.phiZZ)
 }
 
 // stageZ moves the pending Z angle of q (if any) into the flush scratch,
@@ -331,7 +312,7 @@ func (s *shot) stageZZ(ei int) {
 		return
 	}
 	s.phiZZ[ei] = 0
-	e := s.cp.edges[ei]
+	e := s.cp.walk.Edges[ei]
 	sin, cos := math.Sincos(phi / 2)
 	s.zzMasksA = append(s.zzMasksA, 1<<e.A)
 	s.zzMasksB = append(s.zzMasksB, 1<<e.B)
@@ -343,7 +324,7 @@ func (s *shot) stageZZ(ei int) {
 func (s *shot) flushQubit(q int) {
 	s.clearStage()
 	s.stageZ(q)
-	for _, ei := range s.cp.qEdges[q] {
+	for _, ei := range s.cp.walk.QEdges[q] {
 		s.stageZZ(ei)
 	}
 	s.applyStaged()

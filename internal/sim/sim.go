@@ -8,20 +8,22 @@
 //
 // Coherent Z/ZZ phases are diagonal, so they are accumulated analytically in
 // a phase accumulator and flushed into the statevector lazily, only before
-// non-diagonal operations on the affected qubits. X-type pulses (DD pulses,
-// twirl Paulis, the internal echo of an ECR) flip the accumulator signs,
-// which reproduces the toggling-frame physics exactly for instantaneous
-// pulses. The ECR gate executes as its physical sequence
-// ZX(pi/4) -> X(ctrl) -> ZX(-pi/4) so that echo alignment effects (paper
-// Fig. 3, cases II-IV) emerge from the dynamics rather than being assumed.
+// non-diagonal operations on the affected qubits. The schedule walk — edge
+// and Stark tables, each layer's context and events, and the ZZ/Stark
+// integration between events — is toggling.Walker, shared with the
+// stabilizer engine; the shot replays its events and adds its own sampled
+// parity and quasi-static detuning. X-type pulses (DD pulses, twirl
+// Paulis, the internal echo of an ECR) flip the accumulator signs, which
+// reproduces the toggling-frame physics exactly for instantaneous pulses.
+// The ECR gate executes as its physical sequence ZX(pi/4) -> X(ctrl) ->
+// ZX(-pi/4) so that echo alignment effects (paper Fig. 3, cases II-IV)
+// emerge from the dynamics rather than being assumed.
 package sim
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"sort"
 	"sync"
 
@@ -30,6 +32,7 @@ import (
 	"casq/internal/gates"
 	"casq/internal/linalg"
 	"casq/internal/obs"
+	"casq/internal/toggling"
 )
 
 // Shared parameter slices for the memoized ECR decomposition.
@@ -106,48 +109,6 @@ func CoherentOnly(shots int) Config {
 // deterministic).
 func Ideal() Config { return Config{Shots: 1, Seed: 1} }
 
-type opKind int
-
-const (
-	opApply1Q  opKind = iota // non-diagonal 1q matrix (flush q first)
-	opPauliX                 // X/Y pulse: apply matrix + flip accumulators
-	opVirtualZ               // Rz/Z/S/Sdg: add angle to accumulator
-	opApply2Q                // non-diagonal 2q matrix (flush pair first)
-	opDiagRZZ                // Rzz: add angle to pair accumulator
-	opEchoFlip               // ghost echo: flip accumulators of q0 only
-	opGateErr1Q
-	opGateErr2Q
-	opMeasure
-)
-
-type event struct {
-	t       float64 // absolute time, ns
-	seq     int
-	kind    opKind
-	in      *circuit.Instruction
-	q0      int
-	q1      int
-	mat     linalg.Matrix
-	angle   float64
-	errProb float64
-	edge    int // edge index for opDiagRZZ
-	yPhase  bool
-}
-
-type layerExec struct {
-	start, dur float64
-	events     []event
-	rotary     []bool
-	active     []bool
-	driven     []bool
-	gatePair   []bool // per edge index
-}
-
-type starkTerm struct {
-	src, dst int
-	w        float64 // rad/ns
-}
-
 // Runner executes circuits on a device under a noise config.
 type Runner struct {
 	Dev *device.Device
@@ -172,17 +133,23 @@ func New(dev *device.Device, cfg Config) *Runner {
 	return &Runner{Dev: dev, Cfg: cfg}
 }
 
+// compiled is a circuit ready for shot replay: the schedule walker's
+// tables and, per layer, its context and events with the matrix each
+// non-diagonal event applies.
 type compiled struct {
 	nq, ncb int
-	edges   []device.Edge
-	omega   []float64 // rad/ns per edge
-	edgeIdx map[device.Edge]int
-	qEdges  [][]int
-	starks  []starkTerm
+	walk    toggling.Walker
 	layers  []layerExec
 }
 
-const hzToRadPerNs = 2 * math.Pi * 1e-9
+type layerExec struct {
+	toggling.LayerContext
+	// mats[i] is the matrix event i applies: a pulse's X or Y, a one-qubit
+	// gate's, a two-qubit gate's (ZX(pi/4) for an ECR), and for an ECR's
+	// echo the second half ZX(-pi/4); zero elsewhere. All layers' mats
+	// share one backing array.
+	mats []linalg.Matrix
+}
 
 const (
 	fnvOffset = 14695981039346656037
@@ -190,8 +157,9 @@ const (
 )
 
 // deviceFingerprint hashes the device calibration that compile bakes into
-// the compiled form (topology, ZZ rates, Stark terms, gate-error
-// probabilities), so in-place device mutation between runs — the Fig. 8
+// the compiled form — the schedule walker's edge and Stark tables
+// (topology, ZZ rates, Stark terms) and its events' gate-error
+// probabilities — so in-place device mutation between runs — the Fig. 8
 // sweep retunes dev.ZZ per point — invalidates the Runner's cache. Map
 // entries are combined commutatively so iteration order cannot matter.
 func deviceFingerprint(d *device.Device) uint64 {
@@ -320,15 +288,6 @@ func (r *Runner) compiled(c *circuit.Circuit) (*compiled, error) {
 	return cp, nil
 }
 
-// matKey memoizes gate matrices within one compilation: repeated structures
-// (every Trotter step uses the same Ucan/ECR parameters) build each matrix
-// once instead of per instruction.
-type matKey struct {
-	g          gates.Kind
-	nq, np     int
-	p0, p1, p2 float64
-}
-
 // Runner implements Engine.
 var _ Engine = (*Runner)(nil)
 
@@ -339,194 +298,52 @@ func (r *Runner) compile(c *circuit.Circuit) (*compiled, error) {
 	if c.NQubits > MaxQubits {
 		return nil, fmt.Errorf("sim: %d qubits exceed the statevector limit of %d; use the stabilizer engine (internal/stab) for full-scale twirled circuits", c.NQubits, MaxQubits)
 	}
-	cp := &compiled{nq: c.NQubits, ncb: c.NCBits, edgeIdx: map[device.Edge]int{}}
-	addEdge := func(e device.Edge, hz float64) int {
-		if i, ok := cp.edgeIdx[e]; ok {
-			return i
-		}
-		i := len(cp.edges)
-		cp.edges = append(cp.edges, e)
-		cp.omega = append(cp.omega, hz*hzToRadPerNs)
-		cp.edgeIdx[e] = i
-		return i
-	}
-	for _, e := range r.Dev.AllCrosstalkEdges() {
-		addEdge(e, r.Dev.ZZ[e])
-	}
-	// Register virtual edges used by diagonal RZZ corrections on pairs that
-	// have no calibrated coupling.
-	for _, l := range c.Layers {
-		for _, in := range l.Instrs {
-			if in.Gate == gates.RZZ {
-				e := device.NewEdge(in.Qubits[0], in.Qubits[1])
-				if _, ok := cp.edgeIdx[e]; !ok {
-					addEdge(e, 0)
-				}
-			}
-		}
-	}
-	cp.qEdges = make([][]int, cp.nq)
-	for i, e := range cp.edges {
-		cp.qEdges[e.A] = append(cp.qEdges[e.A], i)
-		cp.qEdges[e.B] = append(cp.qEdges[e.B], i)
-	}
-	for d, hz := range r.Dev.Stark {
-		if hz != 0 {
-			cp.starks = append(cp.starks, starkTerm{d.Src, d.Dst, hz * hzToRadPerNs})
-		}
-	}
-	sort.Slice(cp.starks, func(i, j int) bool {
-		if cp.starks[i].src != cp.starks[j].src {
-			return cp.starks[i].src < cp.starks[j].src
-		}
-		return cp.starks[i].dst < cp.starks[j].dst
-	})
+	cp := &compiled{nq: c.NQubits, ncb: c.NCBits}
+	cp.walk.Reset(r.Dev, c)
 
-	memo := map[matKey]linalg.Matrix{}
-	matrix := func(nq int, g gates.Kind, params []float64) linalg.Matrix {
-		k := matKey{g: g, nq: nq, np: len(params)}
-		if len(params) > 3 {
-			// Uncacheable arity; build directly.
-			if nq == 1 {
-				return gates.Matrix1Q(g, params...)
-			}
-			return gates.Matrix2Q(g, params...)
-		}
-		switch len(params) {
-		case 3:
-			k.p2 = params[2]
-			fallthrough
-		case 2:
-			k.p1 = params[1]
-			fallthrough
-		case 1:
-			k.p0 = params[0]
-		}
-		if m, ok := memo[k]; ok {
+	// Repeated structures (every Trotter step uses the same Ucan/ECR
+	// parameters) build each matrix once per compilation.
+	memo := map[gates.Key]linalg.Matrix{}
+	matrix := func(g gates.Kind, params []float64) linalg.Matrix {
+		k, ok := gates.KeyOf(g, params)
+		if m, hit := memo[k]; ok && hit {
 			return m
 		}
-		var m linalg.Matrix
-		if nq == 1 {
-			m = gates.Matrix1Q(g, params...)
-		} else {
-			m = gates.Matrix2Q(g, params...)
+		m := gates.Matrix1Q
+		if gates.NumQubits(g) == 2 {
+			m = gates.Matrix2Q
 		}
-		memo[k] = m
-		return m
+		mat := m(g, params...)
+		if ok {
+			memo[k] = mat
+		}
+		return mat
 	}
-
+	cp.layers = make([]layerExec, len(c.Layers))
+	nev := 0
 	for li := range c.Layers {
-		l := &c.Layers[li]
-		le := layerExec{
-			start:    l.Start,
-			dur:      l.Duration,
-			rotary:   make([]bool, cp.nq),
-			active:   make([]bool, cp.nq),
-			driven:   make([]bool, cp.nq),
-			gatePair: make([]bool, len(cp.edges)),
-			// Worst case is four events per instruction (ECR/RZZ), so one
-			// allocation covers the layer.
-			events: make([]event, 0, 4*len(l.Instrs)),
-		}
-		seq := 0
-		emit := func(ev event) {
-			ev.seq = seq
-			seq++
-			le.events = append(le.events, ev)
-		}
-		for ii := range l.Instrs {
-			in := &l.Instrs[ii]
+		cp.walk.Layer(&cp.layers[li].LayerContext, &c.Layers[li], r.Dev)
+		nev += len(cp.layers[li].Events)
+	}
+	mats := make([]linalg.Matrix, nev)
+	for li := range cp.layers {
+		le := &cp.layers[li]
+		le.mats, mats = mats[:len(le.Events):len(le.Events)], mats[len(le.Events):]
+		for i, ev := range le.Events {
+			ecr := ev.In.Gate == gates.ECR
 			switch {
-			case in.Gate == gates.Delay || in.Gate == gates.Barrier:
-				continue
-			case in.Gate == gates.Measure:
-				le.active[in.Qubits[0]] = true
-				emit(event{t: l.Start, kind: opMeasure, in: in, q0: in.Qubits[0]})
-			case gates.NumQubits(in.Gate) == 2:
-				q0, q1 := in.Qubits[0], in.Qubits[1]
-				le.active[q0], le.active[q1] = true, true
-				le.driven[q0], le.driven[q1] = true, true
-				le.rotary[q1] = true
-				if i, ok := cp.edgeIdx[device.NewEdge(q0, q1)]; ok {
-					le.gatePair[i] = true
-				}
-				errP := 0.0
-				if p, ok := r.Dev.Err2Q[device.NewEdge(q0, q1)]; ok {
-					errP = p
-				} else {
-					errP = 5e-3
-				}
-				mid := l.Start + l.Duration/2
-				end := l.Start + l.Duration
-				switch in.Gate {
-				case gates.ECR:
-					emit(event{t: l.Start, kind: opApply2Q, in: in, q0: q0, q1: q1, mat: matrix(2, gates.ZX, zxPlusQuarter)})
-					emit(event{t: mid, kind: opPauliX, in: in, q0: q0, mat: matrix(1, gates.XGate, nil)})
-					emit(event{t: mid, kind: opApply2Q, in: in, q0: q0, q1: q1, mat: matrix(2, gates.ZX, zxMinusQuarter)})
-					emit(event{t: end, kind: opGateErr2Q, in: in, q0: q0, q1: q1, errProb: errP})
-				case gates.RZZ:
-					ei := cp.edgeIdx[device.NewEdge(q0, q1)]
-					// A pulse-stretched RZZ carries an X2 echo on the control
-					// (pulses at T/2 and T): spectator couplings average out
-					// while the frame returns to identity, so phases pending
-					// from earlier layers are not conjugated. The gate's own
-					// calibrated ZZ angle takes effect at completion.
-					emit(event{t: mid, kind: opEchoFlip, in: in, q0: q0})
-					emit(event{t: end, kind: opEchoFlip, in: in, q0: q0})
-					emit(event{t: end, kind: opDiagRZZ, in: in, q0: q0, q1: q1, angle: in.Params[0], edge: ei})
-					// Its error scales with the stretch fraction relative to
-					// a full ECR.
-					frac := math.Abs(in.Params[0]) / (math.Pi / 2)
-					if frac > 1 {
-						frac = 1
-					}
-					emit(event{t: end, kind: opGateErr2Q, in: in, q0: q0, q1: q1, errProb: errP * frac})
-				default: // CX, Ucan, ZX, SWAP: logical unit with ghost echo
-					emit(event{t: l.Start, kind: opApply2Q, in: in, q0: q0, q1: q1, mat: matrix(2, in.Gate, in.Params)})
-					emit(event{t: mid, kind: opEchoFlip, in: in, q0: q0})
-					emit(event{t: end, kind: opGateErr2Q, in: in, q0: q0, q1: q1, errProb: errP})
-				}
-			default: // one-qubit
-				q := in.Qubits[0]
-				if in.Tag != "dd" {
-					le.active[q] = true
-				}
-				t := l.Start + in.Time
-				errP := r.Dev.Err1Q[q]
-				if in.Tag == "twirl" {
-					errP = 0 // merged into neighboring 1q gates at no cost
-				}
-				switch in.Gate {
-				case gates.RZ:
-					emit(event{t: t, kind: opVirtualZ, in: in, q0: q, angle: in.Params[0]})
-				case gates.ZGate:
-					emit(event{t: t, kind: opVirtualZ, in: in, q0: q, angle: math.Pi})
-				case gates.S:
-					emit(event{t: t, kind: opVirtualZ, in: in, q0: q, angle: math.Pi / 2})
-				case gates.Sdg:
-					emit(event{t: t, kind: opVirtualZ, in: in, q0: q, angle: -math.Pi / 2})
-				case gates.ID:
-					// no-op
-				case gates.XGate, gates.XDD, gates.YGate:
-					mat := matrix(1, gates.XGate, nil)
-					y := false
-					if in.Gate == gates.YGate {
-						mat = matrix(1, gates.YGate, nil)
-						y = true
-					}
-					emit(event{t: t, kind: opPauliX, in: in, q0: q, mat: mat, errProb: errP, yPhase: y})
-				default:
-					emit(event{t: t, kind: opApply1Q, in: in, q0: q, mat: matrix(1, in.Gate, in.Params), errProb: errP})
-				}
+			case ecr && ev.Kind == toggling.EvGate2Q:
+				le.mats[i] = matrix(gates.ZX, zxPlusQuarter)
+			case ecr && ev.Kind == toggling.EvEcho:
+				le.mats[i] = matrix(gates.ZX, zxMinusQuarter)
+			case ev.Kind == toggling.EvPulse && ev.In.Gate == gates.YGate:
+				le.mats[i] = yMat
+			case ev.Kind == toggling.EvPulse:
+				le.mats[i] = xMat
+			case ev.Kind == toggling.EvGate1Q || ev.Kind == toggling.EvGate2Q:
+				le.mats[i] = matrix(ev.In.Gate, ev.In.Params)
 			}
 		}
-		slices.SortFunc(le.events, func(a, b event) int {
-			if a.t != b.t {
-				return cmp.Compare(a.t, b.t)
-			}
-			return cmp.Compare(a.seq, b.seq)
-		})
-		cp.layers = append(cp.layers, le)
 	}
 	return cp, nil
 }

@@ -175,14 +175,18 @@ func TestTogglingPredictsSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Apply the predicted error for each layer (prep layer + gate layer).
+	it := toggling.NewIntegrator(dev, dev.NQubits)
 	for li := range ideal.Layers {
-		m := toggling.BuildLayerModel(&ideal.Layers[li], dev)
-		res := toggling.Integrate(m, dev, true)
-		for q, phi := range res.PhiZ {
-			want.Apply1Q(gates.Matrix1Q(gates.RZ, phi), q)
+		it.Layer(&ideal.Layers[li], true, nil)
+		for q, phi := range it.PhiZ {
+			if math.Abs(phi) >= toggling.Floor {
+				want.Apply1Q(gates.Matrix1Q(gates.RZ, phi), q)
+			}
 		}
-		for e, phi := range res.PhiZZ {
-			want.Apply2Q(gates.Matrix2Q(gates.RZZ, phi), e.A, e.B)
+		for i, phi := range it.PhiZZ {
+			if math.Abs(phi) >= toggling.Floor {
+				want.Apply2Q(gates.Matrix2Q(gates.RZZ, phi), it.Edges[i].A, it.Edges[i].B)
+			}
 		}
 	}
 	if f := linalg.FidelityPure(got, want); f < 1-1e-9 {

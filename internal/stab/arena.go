@@ -8,7 +8,7 @@ import (
 )
 
 // arena holds every buffer one compile builds: the schedule walker's
-// events, per-layer flags, phase accumulators and edge tables, the op
+// edge tables, per-layer flags and events, the phase accumulators, the op
 // stream, the reference tableau and its measurement records, the
 // bit-plane plan and its expectation sums. The executor compiles one
 // program per twirl instance, so reusing these buffers across compiles
@@ -71,9 +71,12 @@ func (p *program) release() {
 	ar.put()
 }
 
-// put returns the arena to the pool, dropping its engine so that a pooled
-// arena keeps no device alive.
+// put returns the arena to the pool, dropping its engine and its events'
+// instruction pointers so that a pooled arena keeps no device or circuit
+// alive.
 func (ar *arena) put() {
 	ar.cp.e = nil
+	evs := ar.cp.lc.Events
+	clear(evs[:cap(evs)])
 	arenaPool.Put(ar)
 }

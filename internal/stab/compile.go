@@ -1,21 +1,17 @@
 package stab
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sync"
 
 	"casq/internal/circuit"
-	"casq/internal/device"
 	"casq/internal/gates"
 	"casq/internal/pauli"
+	"casq/internal/toggling"
 	"casq/internal/twirl"
 )
-
-const hzToRadPerNs = 2 * math.Pi * 1e-9
 
 // quarterEps bounds how far a virtual-Z (or RZZ) angle may sit from a
 // multiple of pi/2 and still count as Clifford. CA-EC compensation angles
@@ -87,37 +83,13 @@ type CompileInfo struct {
 
 // ---- Clifford table resolution -------------------------------------------
 
-type matKey struct {
-	g          gates.Kind
-	np         int
-	p0, p1, p2 float64
-}
-
 var (
 	tableMu    sync.Mutex
-	cliff1Memo = map[matKey]*pauli.Clifford1Q{}
-	cliff2Memo = map[matKey]*pauli.CliffordTable{}
+	cliff1Memo = map[gates.Key]*pauli.Clifford1Q{}
+	cliff2Memo = map[gates.Key]*pauli.CliffordTable{}
 	sPow       [4]*pauli.Clifford1Q // S^k conjugation tables, k=1..3 (0 unused)
 	sPowOnce   sync.Once
 )
-
-func keyFor(g gates.Kind, params []float64) (matKey, bool) {
-	k := matKey{g: g, np: len(params)}
-	if len(params) > 3 {
-		return k, false
-	}
-	switch len(params) {
-	case 3:
-		k.p2 = params[2]
-		fallthrough
-	case 2:
-		k.p1 = params[1]
-		fallthrough
-	case 1:
-		k.p0 = params[0]
-	}
-	return k, true
-}
 
 // clifford1For resolves (building on first use) the conjugation table of a
 // one-qubit gate kind, or nil when the gate is not Clifford. Non-finite
@@ -127,7 +99,7 @@ func clifford1For(g gates.Kind, params []float64) *pauli.Clifford1Q {
 	if !finite(params) {
 		return nil
 	}
-	k, cacheable := keyFor(g, params)
+	k, cacheable := gates.KeyOf(g, params)
 	if cacheable {
 		tableMu.Lock()
 		if t, ok := cliff1Memo[k]; ok {
@@ -163,7 +135,7 @@ func clifford2For(g gates.Kind, params []float64) *pauli.CliffordTable {
 		}
 		return t
 	}
-	k, cacheable := keyFor(g, params)
+	k, cacheable := gates.KeyOf(g, params)
 	if cacheable {
 		tableMu.Lock()
 		if t, ok := cliff2Memo[k]; ok {
@@ -294,68 +266,25 @@ func HasTwirl(c *circuit.Circuit) bool {
 
 // ---- Compilation ---------------------------------------------------------
 
-type cevKind int
-
-const (
-	cevClifford2 cevKind = iota
-	cevPauliPulse
-	cevVirtualZ
-	cevRZZ
-	cevEchoFlip
-	cevApply1Q
-	cevGateErr2
-	cevMeasure
-)
-
-type cevent struct {
-	t     float64
-	seq   int
-	kind  cevKind
-	q0    int
-	q1    int
-	c1    *pauli.Clifford1Q
-	c2    *pauli.CliffordTable
-	p     pauli.Pauli
-	angle float64
-	errP  float64
-	edge  int
-	cbit  int
-	ec    bool // "ec"-tagged compensation: full angle rides the accumulator
-	ecr   bool // ECR gate: the control's pending phases ride through
-}
-
-type starkTerm struct {
-	src, dst int
-	w        float64 // rad/ns
-}
-
-// compiler is the single-pass walker that mirrors the statevector
-// simulator's event schedule, replacing statevector amplitudes with
-// symbolic coherent-phase accumulators: it integrates every toggling-frame
-// error angle (ZZ, spectator Z, Stark, parity, quasistatic) along the
-// schedule, flips accumulator signs at pi pulses exactly like the
-// toggling-frame simulator does, and converts the surviving angles into
-// Pauli-channel probabilities at the same points where the statevector
-// kernel flushes its phase accumulator.
+// compiler walks the circuit's schedule once on the same walker the
+// statevector simulator replays per shot (toggling.Walker), with symbolic
+// coherent-phase accumulators in place of statevector amplitudes: the
+// walker integrates the ZZ, spectator Z and Stark angles between events
+// and flips accumulator signs at pi pulses, the compiler adds the signed
+// time integral the parity and quasi-static detunings act through, and
+// converts the surviving angles into Pauli-channel probabilities at the
+// points where the statevector kernel flushes its phase accumulator.
 type compiler struct {
-	e       *Engine
-	edges   []device.Edge
-	omega   []float64 // rad/ns
-	edgeIdx map[device.Edge]int
-	qEdges  [][]int
-	starks  []starkTerm
+	e    *Engine
+	walk toggling.Walker
+	lc   toggling.LayerContext // the current layer, rebuilt per layer
 
 	phi   []float64 // pending deterministic Z angle per qubit
 	tau   []float64 // signed time integral (ns) for per-shot random detuning
-	phiZZ []float64 // pending ZZ angle per edge index
+	phiZZ []float64 // pending ZZ angle per walker edge
 
 	ops   []op
 	nMeas int
-
-	// per-layer context, cleared at the start of every layer
-	evs                    []cevent
-	rotary, active, driven []bool
-	gatePair               []bool
 }
 
 // compile compiles the circuit into a program that lives in an arena taken
@@ -380,7 +309,13 @@ func (e *Engine) compileIn(ar *arena, c *circuit.Circuit) (*program, error) {
 	}
 	nq := c.NQubits
 	cp := &ar.cp
-	cp.setup(e, c)
+	cp.e = e
+	cp.walk.Reset(e.Dev, c)
+	cp.phi = resized(cp.phi, nq)
+	cp.tau = resized(cp.tau, nq)
+	cp.phiZZ = resized(cp.phiZZ, len(cp.walk.Edges))
+	cp.ops = cp.ops[:0]
+	cp.nMeas = 0
 	for li := range c.Layers {
 		if err := cp.layer(&c.Layers[li], nq); err != nil {
 			return nil, fmt.Errorf("stab: layer %d: %w", li, err)
@@ -395,179 +330,20 @@ func (e *Engine) compileIn(ar *arena, c *circuit.Circuit) (*program, error) {
 	return p, nil
 }
 
-// setup sizes and clears the walker's tables for circuit c on e's device.
-// Edge indices follow insertion order: the device's NN edges, its NNN
-// edges, then any RZZ pair the device does not couple.
-func (cp *compiler) setup(e *Engine, c *circuit.Circuit) {
-	nq := c.NQubits
-	cp.e = e
-	cp.edges = cp.edges[:0]
-	cp.omega = cp.omega[:0]
-	if cp.edgeIdx == nil {
-		cp.edgeIdx = map[device.Edge]int{}
-	}
-	clear(cp.edgeIdx)
-	for _, ed := range e.Dev.Edges {
-		cp.addEdge(ed, e.Dev.ZZ[ed])
-	}
-	for _, ed := range e.Dev.NNNEdges {
-		cp.addEdge(ed, e.Dev.ZZ[ed])
-	}
-	for li := range c.Layers {
-		for ii := range c.Layers[li].Instrs {
-			if in := &c.Layers[li].Instrs[ii]; in.Gate == gates.RZZ {
-				cp.addEdge(device.NewEdge(in.Qubits[0], in.Qubits[1]), 0)
-			}
-		}
-	}
-	cp.qEdges = slices.Grow(cp.qEdges[:0], nq)[:nq]
-	for q := range cp.qEdges {
-		cp.qEdges[q] = cp.qEdges[q][:0]
-	}
-	for i, ed := range cp.edges {
-		cp.qEdges[ed.A] = append(cp.qEdges[ed.A], i)
-		cp.qEdges[ed.B] = append(cp.qEdges[ed.B], i)
-	}
-	cp.starks = cp.starks[:0]
-	for d, hz := range e.Dev.Stark {
-		if hz != 0 {
-			cp.starks = append(cp.starks, starkTerm{d.Src, d.Dst, hz * hzToRadPerNs})
-		}
-	}
-	slices.SortFunc(cp.starks, func(a, b starkTerm) int {
-		if a.src != b.src {
-			return cmp.Compare(a.src, b.src)
-		}
-		return cmp.Compare(a.dst, b.dst)
-	})
-	cp.phi = resized(cp.phi, nq)
-	cp.tau = resized(cp.tau, nq)
-	cp.phiZZ = resized(cp.phiZZ, len(cp.edges))
-	cp.rotary = resized(cp.rotary, nq)
-	cp.active = resized(cp.active, nq)
-	cp.driven = resized(cp.driven, nq)
-	cp.gatePair = resized(cp.gatePair, len(cp.edges))
-	cp.ops = cp.ops[:0]
-	cp.nMeas = 0
-}
-
-// addEdge indexes a crosstalk edge with its ZZ rate, keeping the first
-// index of an edge seen twice.
-func (cp *compiler) addEdge(ed device.Edge, hz float64) {
-	if _, ok := cp.edgeIdx[ed]; ok {
-		return
-	}
-	cp.edgeIdx[ed] = len(cp.edges)
-	cp.edges = append(cp.edges, ed)
-	cp.omega = append(cp.omega, hz*hzToRadPerNs)
-}
-
-// emit queues one event of the current layer, in program order.
-func (cp *compiler) emit(ev cevent) {
-	ev.seq = len(cp.evs)
-	cp.evs = append(cp.evs, ev)
-}
-
-// layer compiles one scheduled layer: event extraction mirroring the
-// statevector compiler, then a symbolic walk that accumulates coherent
-// phases between events and emits ops at them.
+// layer compiles one scheduled layer: the walker's events in time order,
+// with the coherent phases accumulated between them, then the layer's
+// relaxation channels.
 func (cp *compiler) layer(l *circuit.Layer, nq int) error {
-	clear(cp.rotary)
-	clear(cp.active)
-	clear(cp.driven)
-	clear(cp.gatePair)
-	cp.evs = cp.evs[:0]
-	dev := cp.e.Dev
-	for ii := range l.Instrs {
-		in := &l.Instrs[ii]
-		switch {
-		case in.Gate == gates.Delay || in.Gate == gates.Barrier:
-			continue
-		case in.Gate == gates.Measure:
-			cp.active[in.Qubits[0]] = true
-			cp.emit(cevent{t: l.Start, kind: cevMeasure, q0: in.Qubits[0], cbit: in.CBit})
-		case gates.NumQubits(in.Gate) == 2:
-			q0, q1 := in.Qubits[0], in.Qubits[1]
-			cp.active[q0], cp.active[q1] = true, true
-			cp.driven[q0], cp.driven[q1] = true, true
-			cp.rotary[q1] = true
-			if i, ok := cp.edgeIdx[device.NewEdge(q0, q1)]; ok {
-				cp.gatePair[i] = true
-			}
-			errP := 5e-3
-			if p, ok := dev.Err2Q[device.NewEdge(q0, q1)]; ok {
-				errP = p
-			}
-			mid := l.Start + l.Duration/2
-			end := l.Start + l.Duration
-			switch in.Gate {
-			case gates.RZZ:
-				ei := cp.edgeIdx[device.NewEdge(q0, q1)]
-				cp.emit(cevent{t: mid, kind: cevEchoFlip, q0: q0})
-				cp.emit(cevent{t: end, kind: cevEchoFlip, q0: q0})
-				cp.emit(cevent{t: end, kind: cevRZZ, q0: q0, q1: q1, angle: in.Params[0], edge: ei, ec: in.Tag == "ec"})
-				frac := math.Abs(in.Params[0]) / (math.Pi / 2)
-				if frac > 1 {
-					frac = 1
-				}
-				cp.emit(cevent{t: end, kind: cevGateErr2, q0: q0, q1: q1, errP: errP * frac})
-			default: // ECR, CX, SWAP, Clifford Ucan/ZX: one ideal Clifford
-				tab := clifford2For(in.Gate, in.Params)
-				if tab == nil {
-					return fmt.Errorf("%s is not Clifford", in.Gate)
-				}
-				cp.emit(cevent{t: l.Start, kind: cevClifford2, q0: q0, q1: q1, c2: tab, ecr: in.Gate == gates.ECR})
-				cp.emit(cevent{t: mid, kind: cevEchoFlip, q0: q0})
-				cp.emit(cevent{t: end, kind: cevGateErr2, q0: q0, q1: q1, errP: errP})
-			}
-		default: // one-qubit
-			q := in.Qubits[0]
-			if in.Tag != "dd" {
-				cp.active[q] = true
-			}
-			t := l.Start + in.Time
-			errP := dev.Err1Q[q]
-			if in.Tag == "twirl" {
-				errP = 0
-			}
-			switch in.Gate {
-			case gates.RZ:
-				cp.emit(cevent{t: t, kind: cevVirtualZ, q0: q, angle: in.Params[0], ec: in.Tag == "ec"})
-			case gates.ZGate:
-				cp.emit(cevent{t: t, kind: cevVirtualZ, q0: q, angle: math.Pi})
-			case gates.S:
-				cp.emit(cevent{t: t, kind: cevVirtualZ, q0: q, angle: math.Pi / 2})
-			case gates.Sdg:
-				cp.emit(cevent{t: t, kind: cevVirtualZ, q0: q, angle: -math.Pi / 2})
-			case gates.ID:
-				// no-op
-			case gates.XGate, gates.XDD:
-				cp.emit(cevent{t: t, kind: cevPauliPulse, q0: q, p: pauli.X, errP: errP})
-			case gates.YGate:
-				cp.emit(cevent{t: t, kind: cevPauliPulse, q0: q, p: pauli.Y, errP: errP})
-			default:
-				tab := clifford1For(in.Gate, in.Params)
-				if tab == nil {
-					return fmt.Errorf("%s%v is not Clifford", in.Gate, in.Params)
-				}
-				cp.emit(cevent{t: t, kind: cevApply1Q, q0: q, c1: tab, errP: errP})
-			}
-		}
-	}
-	evs := cp.evs
-	slices.SortFunc(evs, func(a, b cevent) int {
-		if a.t != b.t {
-			return cmp.Compare(a.t, b.t)
-		}
-		return cmp.Compare(a.seq, b.seq)
-	})
-
+	lc := &cp.lc
+	cp.walk.Layer(lc, l, cp.e.Dev)
 	cur := l.Start
-	for i := range evs {
-		ev := &evs[i]
-		cp.accumulate(cur, ev.t)
-		cur = ev.t
-		cp.exec(ev)
+	for i := range lc.Events {
+		ev := &lc.Events[i]
+		cp.accumulate(cur, ev.T)
+		cur = ev.T
+		if err := cp.exec(ev); err != nil {
+			return err
+		}
 	}
 	cp.accumulate(cur, l.Start+l.Duration)
 	if cp.e.Cfg.EnableT1T2 && l.Duration > 0 {
@@ -588,85 +364,101 @@ func cliff2Op(q0, q1 int, tbl *pauli.CliffordTable) op {
 	return op{kind: opCliff2, q0: q0, q1: q1, c2: symp2For(tbl)}
 }
 
-func (cp *compiler) exec(ev *cevent) {
+// exec turns one event into ops, resolving gates to Clifford tables.
+func (cp *compiler) exec(ev *toggling.Event) error {
 	cfg := &cp.e.Cfg
-	switch ev.kind {
-	case cevClifford2:
-		if !ev.ecr {
+	in := ev.In
+	switch ev.Kind {
+	case toggling.EvGate2Q: // ECR, CX, SWAP, Clifford Ucan/ZX: one ideal Clifford
+		tab := clifford2For(in.Gate, in.Params)
+		if tab == nil {
+			return fmt.Errorf("%s is not Clifford", in.Gate)
+		}
+		if in.Gate != gates.ECR {
 			// Z does not generally commute through CX/SWAP/Ucan as
 			// modeled (their ghost echo is not a physical pulse), so both
 			// operands' pending phases materialize as channels here.
-			cp.flush(ev.q0)
+			cp.flush(ev.Q0)
 		}
 		// An ECR control's pending phases ride: ECR = X(ctrl)·ZX(pi/2)
-		// conjugates Z(ctrl) to -Z(ctrl), and the mid-gate echo-flip
-		// event applies exactly that sign — so coherent Z/ZZ terms on the
+		// conjugates Z(ctrl) to -Z(ctrl), and the mid-gate echo event
+		// applies exactly that sign — so coherent Z/ZZ terms on the
 		// control (including control-control ZZ, the CA-EC headline
 		// channel) stay in the accumulator until a genuinely
 		// non-commuting point, where a deferred EC compensation can still
 		// cancel them, matching the statevector kernel's algebra. The
 		// target's Z is rotated by ZX into non-diagonal form, so it must
 		// convert to a channel before the gate.
-		cp.flush(ev.q1)
-		cp.ops = append(cp.ops, cliff2Op(ev.q0, ev.q1, ev.c2))
-	case cevPauliPulse:
-		cp.flipAccum(ev.q0)
-		cp.ops = append(cp.ops, op{kind: opPauliGate, q0: ev.q0, p: ev.p})
-		if cfg.EnableGateErr && ev.errP > 0 {
-			cp.emitDepol1(ev.q0, ev.errP)
+		cp.flush(ev.Q1)
+		cp.ops = append(cp.ops, cliff2Op(ev.Q0, ev.Q1, tab))
+	case toggling.EvPulse:
+		p := pauli.X
+		if in.Gate == gates.YGate {
+			p = pauli.Y
 		}
-	case cevVirtualZ:
-		if ev.ec {
+		cp.flip(ev.Q0)
+		cp.ops = append(cp.ops, op{kind: opPauliGate, q0: ev.Q0, p: p})
+		if cfg.EnableGateErr && ev.ErrP > 0 {
+			cp.emitDepol1(ev.Q0, ev.ErrP)
+		}
+	case toggling.EvVirtualZ:
+		if in.Gate == gates.RZ && in.Tag == "ec" {
 			// A CA-EC compensation exists to cancel the error integral in
 			// this same accumulator; splitting off a Clifford part here
 			// would desynchronize the two whenever the compensation
 			// exceeds pi/4 (net -k*pi/2 at flush instead of ~0), so the
 			// full angle rides the accumulator exactly as it does in the
 			// statevector kernel.
-			cp.phi[ev.q0] += ev.angle
-			return
+			cp.phi[ev.Q0] += ev.Angle
+			return nil
 		}
-		k, delta := splitQuarter(ev.angle)
+		k, delta := splitQuarter(ev.Angle)
 		if k != 0 {
-			cp.ops = append(cp.ops, cliff1Op(ev.q0, sPowTable(k)))
+			cp.ops = append(cp.ops, cliff1Op(ev.Q0, sPowTable(k)))
 		}
-		cp.phi[ev.q0] += delta
-	case cevRZZ:
-		if ev.ec {
-			cp.phiZZ[ev.edge] += ev.angle
-			return
+		cp.phi[ev.Q0] += delta
+	case toggling.EvRZZ:
+		if in.Tag == "ec" {
+			cp.phiZZ[ev.Edge] += ev.Angle
+			return nil
 		}
-		k, delta := splitQuarter(ev.angle)
+		k, delta := splitQuarter(ev.Angle)
 		if k != 0 {
-			cp.ops = append(cp.ops, cliff2Op(ev.q0, ev.q1, clifford2For(gates.RZZ, []float64{float64(k) * math.Pi / 2})))
+			cp.ops = append(cp.ops, cliff2Op(ev.Q0, ev.Q1, clifford2For(gates.RZZ, []float64{float64(k) * math.Pi / 2})))
 		}
-		cp.phiZZ[ev.edge] += delta
-	case cevEchoFlip:
-		cp.flipAccum(ev.q0)
-	case cevApply1Q:
-		cp.flush(ev.q0)
-		cp.ops = append(cp.ops, cliff1Op(ev.q0, ev.c1))
-		if cfg.EnableGateErr && ev.errP > 0 {
-			cp.emitDepol1(ev.q0, ev.errP)
+		cp.phiZZ[ev.Edge] += delta
+	case toggling.EvEcho:
+		cp.flip(ev.Q0)
+	case toggling.EvGate1Q:
+		tab := clifford1For(in.Gate, in.Params)
+		if tab == nil {
+			return fmt.Errorf("%s%v is not Clifford", in.Gate, in.Params)
 		}
-	case cevGateErr2:
-		if cfg.EnableGateErr && ev.errP > 0 {
-			cp.ops = append(cp.ops, op{kind: opDepol2, q0: ev.q0, q1: ev.q1, prob: ev.errP})
+		cp.flush(ev.Q0)
+		cp.ops = append(cp.ops, cliff1Op(ev.Q0, tab))
+		if cfg.EnableGateErr && ev.ErrP > 0 {
+			cp.emitDepol1(ev.Q0, ev.ErrP)
 		}
-	case cevMeasure:
-		cp.flush(ev.q0)
+	case toggling.EvErr2Q:
+		if cfg.EnableGateErr && ev.ErrP > 0 {
+			cp.ops = append(cp.ops, op{kind: opDepol2, q0: ev.Q0, q1: ev.Q1, prob: ev.ErrP})
+		}
+	case toggling.EvMeasure:
+		cp.flush(ev.Q0)
 		flip := 0.0
 		if cfg.EnableReadoutErr {
-			flip = cp.e.Dev.ReadoutErr[ev.q0]
+			flip = cp.e.Dev.ReadoutErr[ev.Q0]
 		}
-		cp.ops = append(cp.ops, op{kind: opMeasure, q0: ev.q0, cbit: ev.cbit, prob: flip, mi: cp.nMeas})
+		cp.ops = append(cp.ops, op{kind: opMeasure, q0: ev.Q0, cbit: in.CBit, prob: flip, mi: cp.nMeas})
 		cp.nMeas++
 	}
+	return nil
 }
 
 // accumulate integrates the coherent crosstalk Hamiltonian over [from, to]
-// into the symbolic phase accumulators — the compile-time mirror of the
-// statevector shot's accumulate.
+// into the symbolic phase accumulators: the walker's ZZ and Stark terms,
+// then the signed time integral tau that the per-shot parity and
+// quasi-static detunings act through at flush.
 func (cp *compiler) accumulate(from, to float64) {
 	dt := to - from
 	if dt <= 0 {
@@ -674,40 +466,11 @@ func (cp *compiler) accumulate(from, to float64) {
 	}
 	cfg := &cp.e.Cfg
 	res := cp.e.Dev.RotaryResidual
-	if cfg.EnableZZ {
-		for i, ed := range cp.edges {
-			w := cp.omega[i]
-			if w == 0 || cp.gatePair[i] {
-				continue
-			}
-			fa, fb := 1.0, 1.0
-			if cp.rotary[ed.A] {
-				fa = res
-			}
-			if cp.rotary[ed.B] {
-				fb = res
-			}
-			cp.phiZZ[i] += w * dt * fa * fb
-			cp.phi[ed.A] -= w * dt * fa
-			cp.phi[ed.B] -= w * dt * fb
-		}
-	}
-	if cfg.EnableStark {
-		for _, st := range cp.starks {
-			if !cp.driven[st.src] || cp.active[st.dst] {
-				continue
-			}
-			f := 1.0
-			if cp.rotary[st.dst] {
-				f = res
-			}
-			cp.phi[st.dst] += st.w * dt * f
-		}
-	}
+	cp.walk.Accumulate(&cp.lc, cp.phi, cp.phiZZ, dt, res, cfg.EnableZZ, cfg.EnableStark)
 	if cfg.EnableParity || cfg.EnableQuasistatic {
 		for q := range cp.tau {
 			f := 1.0
-			if cp.rotary[q] {
+			if cp.lc.Rotary[q] {
 				f = res
 			}
 			cp.tau[q] += dt * f
@@ -715,13 +478,11 @@ func (cp *compiler) accumulate(from, to float64) {
 	}
 }
 
-// flipAccum conjugates the pending phases on q through an X/Y pulse.
-func (cp *compiler) flipAccum(q int) {
-	cp.phi[q] = -cp.phi[q]
+// flip conjugates the pending phases on q, tau included, through an X/Y
+// pulse.
+func (cp *compiler) flip(q int) {
+	cp.walk.Flip(q, cp.phi, cp.phiZZ)
 	cp.tau[q] = -cp.tau[q]
-	for _, ei := range cp.qEdges[q] {
-		cp.phiZZ[ei] = -cp.phiZZ[ei]
-	}
 }
 
 // flush converts the pending coherent phases involving q into Pauli
@@ -736,10 +497,10 @@ func (cp *compiler) flush(q int) {
 	dev := cp.e.Dev
 	c := math.Cos(cp.phi[q])
 	if cfg.EnableParity {
-		c *= math.Cos(dev.Delta[q] * hzToRadPerNs * cp.tau[q])
+		c *= math.Cos(dev.Delta[q] * toggling.HzToRadPerNs * cp.tau[q])
 	}
 	if cfg.EnableQuasistatic && q < len(dev.Quasistatic) {
-		sg := dev.Quasistatic[q] * hzToRadPerNs * cp.tau[q]
+		sg := dev.Quasistatic[q] * toggling.HzToRadPerNs * cp.tau[q]
 		c *= math.Exp(-sg * sg / 2)
 	}
 	cp.phi[q] = 0
@@ -747,7 +508,7 @@ func (cp *compiler) flush(q int) {
 	if pz := (1 - c) / 2; pz > 1e-15 {
 		cp.ops = append(cp.ops, op{kind: opChan1, q0: q, thrXYZ: pz})
 	}
-	for _, ei := range cp.qEdges[q] {
+	for _, ei := range cp.walk.QEdges[q] {
 		phi := cp.phiZZ[ei]
 		if phi == 0 {
 			continue
@@ -755,7 +516,7 @@ func (cp *compiler) flush(q int) {
 		cp.phiZZ[ei] = 0
 		s := math.Sin(phi / 2)
 		if pzz := s * s; pzz > 1e-15 {
-			ed := cp.edges[ei]
+			ed := cp.walk.Edges[ei]
 			cp.ops = append(cp.ops, op{kind: opZZ, q0: ed.A, q1: ed.B, prob: pzz})
 		}
 	}

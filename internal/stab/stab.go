@@ -15,10 +15,11 @@
 //     pauli.CliffordTable tables the twirl pass uses — tracks each
 //     trajectory's deviation from it; and
 //   - a noise model derived from the device calibration via the
-//     Pauli-twirling approximation (PTA): the compiler walks the schedule
-//     exactly like the statevector kernel, integrating every
-//     toggling-frame coherent-error angle (with sign flips at DD/echo/
-//     twirl pulses) and converting the surviving angles into Z and
+//     Pauli-twirling approximation (PTA): the compiler runs the
+//     statevector kernel's schedule walk (toggling.Walker: the same edge
+//     and Stark tables, layer context and events), which integrates every
+//     toggling-frame coherent-error angle with sign flips at DD/echo/
+//     twirl pulses, and converts the surviving angles into Z and
 //     correlated Z(x)Z channel probabilities at the kernel's flush
 //     points, alongside twirled amplitude-damping/dephasing (T1/T2),
 //     depolarizing gate error, and readout assignment error.

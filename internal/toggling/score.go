@@ -9,13 +9,14 @@ import (
 )
 
 // Integrator evaluates the toggling-frame integrals of one layer at a time
-// into per-qubit and per-edge slices: BuildLayerModel + IntegrateFiltered
-// without the maps. It caches the device's crosstalk edge tables and Stark
+// into per-qubit and per-edge slices, in closed form from each qubit's
+// pulse times. It caches the device's crosstalk edge tables and Stark
 // adjacency when built, and reuses its pulse scratch from layer to layer,
 // so Layer allocates nothing in steady state. Every float accumulates in
-// the same canonical order as IntegrateFiltered — ZZ terms edge by edge in
-// Edges order, then Stark terms by ascending source qubit (targets
-// ascending) — so the angles agree with it bit for bit. The tables are
+// one canonical order — ZZ terms edge by edge in Edges order, then Stark
+// terms by ascending source qubit (targets ascending) — so the angles are
+// bit-deterministic; the tests pin them bit for bit against a map-based
+// reference model (IntegrateFiltered, reference_test.go). The tables are
 // read when the Integrator is built; build a new one after recalibrating
 // the device. An Integrator is not safe for concurrent use.
 type Integrator struct {
@@ -26,7 +27,7 @@ type Integrator struct {
 	W     []float64
 	// PhiZ (per qubit) and PhiZZ (per edge) are the surviving Rz and Rzz
 	// error angles of the last integrated layer. Entries below Floor in
-	// magnitude are noise-floor terms that IntegrateFiltered drops.
+	// magnitude are noise-floor terms that the passes ignore.
 	PhiZ  []float64
 	PhiZZ []float64
 
@@ -43,7 +44,7 @@ type Integrator struct {
 }
 
 // Floor is the magnitude below which an integrated angle is numerical
-// noise: IntegrateFiltered drops such entries and the passes ignore them.
+// noise: the passes and the layout score ignore such entries.
 const Floor = 1e-12
 
 type starkTerm struct {
@@ -51,8 +52,9 @@ type starkTerm struct {
 	w   float64 // 2*pi*Stark*1e-9
 }
 
-// qubitScratch mirrors QubitSchedule with a reusable pulse buffer plus the
-// driven flag the Stark loop needs.
+// qubitScratch is one qubit's pulse activity within the layer: its pulse
+// times, whether it is an ECR target (rotary echo) or takes part in a gate,
+// and the driven flag the Stark loop needs.
 type qubitScratch struct {
 	pulses  []float64
 	rotary  bool
@@ -127,7 +129,7 @@ func (it *Integrator) EdgeIndex(a, b int) (int, bool) {
 
 // Layer integrates one scheduled layer into PhiZ and PhiZZ, Stark terms
 // included when includeStark is set. Edges touching a qubit marked in
-// collapsed (nil = none) contribute nothing, as IntegrateFiltered's skip.
+// collapsed (nil = none) contribute nothing.
 // A layer without positive duration leaves every angle zero.
 func (it *Integrator) Layer(l *circuit.Layer, includeStark bool, collapsed []bool) {
 	it.reset()
@@ -211,12 +213,11 @@ func (it *Integrator) Layer(l *circuit.Layer, includeStark bool, collapsed []boo
 
 // Scorer computes the layout stage's exact predicted-error score — the sum
 // of |phiZ| and |phiZZ| toggling-frame angles over every layer — on one
-// reused Integrator instead of the per-layer maps of Integrate. The layout
-// search exact-scores dozens of candidates per Choose call on a worker
-// pool, so the steady-state inner loop here is allocation-free (pinned by
-// TestScorerZeroAlloc), and the Integrator's canonical accumulation order
-// (the one IntegrateFiltered shares) plus a fixed summation order (edges,
-// then qubits ascending) make the score bit-deterministic across runs and
+// reused Integrator. The layout search exact-scores dozens of candidates
+// per Choose call on a worker pool, so the steady-state inner loop here is
+// allocation-free (pinned by TestScorerZeroAlloc), and the Integrator's
+// canonical accumulation order plus a fixed summation order (edges, then
+// qubits ascending) make the score bit-deterministic across runs and
 // worker counts.
 type Scorer struct {
 	it *Integrator
@@ -288,7 +289,9 @@ func (it *Integrator) reset() {
 	clear(it.PhiZZ)
 }
 
-// pairIntegral is the package pairIntegral over a reused merge buffer.
+// pairIntegral returns Int_0^T s_a(t) s_b(t) dt over a reused merge
+// buffer (the product of suffix signs equals the product of prefix signs
+// times both parities).
 func (it *Integrator) pairIntegral(pa, pb []float64, T float64) float64 {
 	it.times = it.times[:0]
 	it.times = append(it.times, pa...)
